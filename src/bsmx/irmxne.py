@@ -27,7 +27,6 @@ from .model import (
     Measurements,
     SolverConfig,
     _check_paired,
-    densify,
     residual,
 )
 from .mxne import ConvergenceTrace, resolve_lambda, solve_active_set
@@ -92,6 +91,20 @@ def compute_weights(prev: BlockSparseEstimate) -> np.ndarray:
     return w
 
 
+def _max_abs_change(est: BlockSparseEstimate,
+                    prev: BlockSparseEstimate) -> float:
+    """Entrywise max-abs of ``densify(est) - densify(prev)``, bitwise.
+
+    Only the union of the two supports is visited: every other entry is
+    zero in both, and the difference there is zero.
+    """
+    a = dict(zip(est.active_set, est.blocks))
+    b = dict(zip(prev.active_set, prev.blocks))
+    peaks = [np.abs(a.get(s, 0.0) - b.get(s, 0.0)).max()
+             for s in a.keys() | b.keys()]
+    return float(np.max(peaks, initial=0.0))
+
+
 def _solve_surrogate(
     m: Measurements,
     g: BlockDesign,
@@ -150,7 +163,7 @@ def solve_irmxne(
     Iteration 1 solves the plain convex problem (unit weights). Iteration
     ``k >= 2`` restricts the candidate set to locations with positive
     weight, solves the rescaled surrogate warm-started from the previous
-    solution, and maps the result back. The loop stops when the densified
+    solution, and maps the result back. The loop stops when the
     estimates of consecutive iterations differ by less than
     ``config.reweight_tol`` in entrywise max-abs, or after
     ``config.max_reweight`` iterations (returned with ``converged=False``).
@@ -179,7 +192,7 @@ def solve_irmxne(
         est = _solve_surrogate(m, g, weights, prev, lam, config, trace, t0)
         state.iteration = k
         state.objective_trace.append(nonconvex_objective(m, g, est, lam))
-        diff = float(np.abs(densify(est) - densify(prev)).max())
+        diff = _max_abs_change(est, prev)
         prev = est
         if diff < config.reweight_tol:
             state.converged = True

@@ -224,7 +224,10 @@ class SolverConfig:
         Cap on reweighting iterations. Exhausting it is not an error; the
         last iterate is returned with ``converged=False``.
     active_batch : int
-        Number of candidate locations added per active-set expansion.
+        Number of candidate locations added by the first active-set
+        expansion, and the minimum added by each later one: after the
+        first, every expansion adds up to as many locations as the set
+        already holds, so the candidate set doubles while violators remain.
     max_bcd_iter : int
         Safety cap on inner coordinate-descent sweeps per subproblem.
     """

@@ -46,6 +46,8 @@ __all__ = [
 
 # maintained residuals are rebuilt from scratch this often to bound drift
 _RESYNC_EVERY = 50
+# after an expansion, inner solves stop at this fraction of the full gap
+_INNER_TOL_RATIO = 0.3
 
 
 class IterationLimitError(RuntimeError):
@@ -426,13 +428,27 @@ def solve_active_set(
     trace: Optional[ConvergenceTrace] = None,
     time_origin: Optional[float] = None,
 ) -> Tuple[BlockSparseEstimate, ConvergenceTrace]:
-    """Solve the full problem with a forward active-set strategy.
+    """Solve the full problem with a forward working-set strategy.
 
     Starting from the warm-start support (or the largest correlation
     scores when there is none), the driver alternates between solving the
     problem restricted to the current candidate set and certifying the
     result on the full problem via the duality gap, expanding the set with
     the top violating locations until the full gap passes ``gap_tol``.
+
+    The policy follows the working-set scheme of Celer (Massias, Gramfort
+    and Salmon, 2018):
+
+    - Growth: each expansion adds up to
+      ``max(config.active_batch, len(candidates))`` top violators, so the
+      candidate set at least doubles while violators remain.
+    - Inner tolerance: after an expansion that added candidates, the
+      restricted solve stops at ``max(gap_tol, 0.3 * full_gap)``, where
+      ``full_gap`` is the certificate just computed; otherwise it runs to
+      ``gap_tol`` itself. Both inner solvers follow the same rule.
+    - Certificate: only the full-problem gap certifies. An estimate is
+      returned once that gap is below ``gap_tol``; a loose restricted
+      solve never ends the loop.
 
     The candidate set only grows within one call; all-zero design blocks
     are excluded from candidacy with a warning. Determinism: sweeps run in
@@ -497,12 +513,19 @@ def solve_active_set(
                 estimate=est,
                 gap=report.gap,
             )
-        new = _top_violators(norms, lam_vec, active, config.active_batch, valid)
+        batch = max(config.active_batch, len(active))
+        new = _top_violators(norms, lam_vec, active, batch, valid)
         active.update(new)
         cand = sorted(active)
+        # the top violator is now a candidate, so (for a scalar lam) the
+        # restricted gap starts at the full gap and a loose solve still
+        # shrinks it by at least 0.7x
+        inner_tol = config.gap_tol
+        if new:
+            inner_tol = max(inner_tol, _INNER_TOL_RATIO * report.gap)
         if inner == "bcd":
             est, _ = solve_bcd(
-                m, g, est, mu_arr, lam_vec, config.gap_tol,
+                m, g, est, mu_arr, lam_vec, inner_tol,
                 candidates=cand, max_iter=config.max_bcd_iter,
                 trace=trace, time_origin=t0,
             )
@@ -510,7 +533,7 @@ def solve_active_set(
             from .oracle import solve_proximal_gradient
 
             est = solve_proximal_gradient(
-                m, g, lam_vec, config.gap_tol,
+                m, g, lam_vec, inner_tol,
                 candidates=cand, init=est,
             )
     raise AssertionError("unreachable")

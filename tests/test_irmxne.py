@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bsmx.irmxne import (
+    _max_abs_change,
     compute_weights,
     nonconvex_objective,
     solve_irmxne,
@@ -18,6 +19,28 @@ from bsmx.prox import BlockStepSizes
 from bsmx.sim import ScenarioSpec, generate_scenario
 
 from helpers import dense_sqrt_objective, make_instance
+
+
+def test_max_abs_change_matches_dense_difference():
+    rng = np.random.default_rng(40)
+    n_loc, n_orient, n_times = 12, 3, 5
+
+    def est(locs):
+        return BlockSparseEstimate.from_blocks(
+            [(s, rng.standard_normal((n_orient, n_times))) for s in locs],
+            n_loc, n_orient, n_times,
+        )
+
+    pairs = {
+        "disjoint": (est([1, 4]), est([0, 7, 11])),
+        "overlapping": (est([2, 3, 9]), est([3, 5, 9])),
+        "one empty": (est([6]), est([])),
+        "both empty": (est([]), est([])),
+    }
+    for name, (a, b) in pairs.items():
+        for x, y in ((a, b), (b, a)):
+            dense = float(np.abs(densify(x) - densify(y)).max())
+            assert _max_abs_change(x, y) == dense, name
 
 
 def test_nonconvex_objective_zero_estimate():

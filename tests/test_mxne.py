@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+import bsmx.mxne
+import bsmx.oracle
 from bsmx.model import (
     BlockSparseEstimate,
     BlockDesign,
@@ -285,19 +289,6 @@ def test_solve_active_set_empty_at_lambda_max():
     assert len(trace) == 1
 
 
-def test_solve_active_set_matches_full_bcd():
-    rng = np.random.default_rng(22)
-    for _ in range(5):
-        m, g, _ = make_instance(rng, n_locations=25, noise=0.2)
-        lam = 0.35 * lambda_max(m, g)
-        config = SolverConfig(lam=lam, active_batch=3)
-        est_as, trace_as = solve_active_set(m, g, None, lam, config)
-        mu = BlockStepSizes.from_design(g)
-        est_full, _ = solve_bcd(m, g, None, mu, lam, config.gap_tol)
-        p_as = primal_objective(m, g, est_as, lam)
-        p_full = primal_objective(m, g, est_full, lam)
-        assert abs(p_as - p_full) <= 1e-6
-        assert trace_as.final.gap < config.gap_tol
 
 
 def test_top_violators_selection_rules():
@@ -319,22 +310,119 @@ def test_top_violators_selection_rules():
     assert picked == [0, 4, 1]
 
 
-def test_solve_active_set_initial_batch_is_top_correlations():
+def _record_inner_solves(monkeypatch):
+    """Wrap ``solve_bcd`` where ``solve_active_set`` calls it; log each call.
+
+    Each entry is ``(sorted candidates, gap_tol, returned estimate)``.
+    """
+    calls = []
+    inner = bsmx.mxne.solve_bcd
+
+    def recording(m, g, init, mu, lam, gap_tol, **kwargs):
+        est, trace = inner(m, g, init, mu, lam, gap_tol, **kwargs)
+        calls.append((sorted(kwargs["candidates"]), gap_tol, est))
+        return est, trace
+
+    monkeypatch.setattr(bsmx.mxne, "solve_bcd", recording)
+    return calls
+
+
+def _violators(m, g, est, lam, exclude):
+    """Locations outside ``exclude`` with ``||G_s^T R||_Fro > lam``."""
+    corr = g.entries.T @ residual(m, g, est)
+    norms = np.linalg.norm(corr.reshape(g.n_locations, -1), axis=1)
+    return [s for s in np.flatnonzero(norms > lam) if s not in exclude]
+
+
+def test_solve_active_set_initial_batch_is_top_correlations(monkeypatch):
     rng = np.random.default_rng(23)
     m, g, _ = make_instance(rng, n_locations=30, noise=0.2)
     corr = g.entries.T @ m.entries
     norms = np.linalg.norm(corr.reshape(g.n_locations, -1), axis=1)
     lam = 0.2 * lambda_max(m, g)
     batch = 4
-    expected = set(np.argsort(-norms, kind="stable")[:batch].tolist())
-    config = SolverConfig(lam=lam, active_batch=batch, max_bcd_iter=1,
-                          gap_tol=1e-14)
-    # cap the inner solver so the first restricted solve fails, exposing
-    # the initial candidate set through the carried estimate's support
-    with pytest.raises(IterationLimitError) as excinfo:
-        solve_active_set(m, g, None, lam, config)
-    inner_support = set(excinfo.value.estimate.active_set)
-    assert inner_support <= expected
+    expected = sorted(np.argsort(-norms, kind="stable")[:batch].tolist())
+    config = SolverConfig(lam=lam, active_batch=batch)
+    calls = _record_inner_solves(monkeypatch)
+    solve_active_set(m, g, None, lam, config)
+    assert calls[0][0] == expected
+
+
+def test_solve_active_set_candidates_double_while_violators_remain(
+        monkeypatch):
+    batch = 3
+    for seed in range(3):
+        rng = np.random.default_rng(300 + seed)
+        m, g, _ = make_instance(rng, n_sensors=60, n_locations=200,
+                                n_active=15, noise=0.3)
+        lam = 0.2 * lambda_max(m, g)
+        config = SolverConfig(lam=lam, active_batch=batch)
+        calls = _record_inner_solves(monkeypatch)
+        est, _ = solve_active_set(m, g, None, lam, config)
+        assert est.n_active >= 40
+        prev_cand = []
+        prev_est = BlockSparseEstimate.empty(g.n_locations, g.n_orient,
+                                             m.n_times)
+        for cand, _, sol in calls:
+            viol = _violators(m, g, prev_est, lam, set(prev_cand))
+            added = len(cand) - len(prev_cand)
+            # every expansion takes max(batch, |set|) violators, or all of
+            # them when fewer remain: the set doubles while it can
+            assert set(prev_cand) <= set(cand)
+            assert added == min(max(batch, len(prev_cand)), len(viol))
+            prev_cand, prev_est = cand, sol
+        # log2 term: the doubling expansions. The remainder is the tail in
+        # which each full check finds a few new violators, plus the final
+        # re-solve at gap_tol (up to 6 on 20 such instances). A fixed batch
+        # per expansion would need at least |A| / batch >= 13.
+        assert len(calls) <= math.ceil(math.log2(est.n_active / batch)) + 6
+
+
+def test_solve_active_set_matches_full_bcd(monkeypatch):
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        m, g, _ = make_instance(rng, n_locations=25, noise=0.2)
+        lam = 0.35 * lambda_max(m, g)
+        config = SolverConfig(lam=lam, active_batch=3)
+        calls = _record_inner_solves(monkeypatch)
+        est_as, trace_as = solve_active_set(m, g, None, lam, config)
+        mu = BlockStepSizes.from_design(g)
+        est_full, _ = solve_bcd(m, g, None, mu, lam, config.gap_tol)
+        p_as = primal_objective(m, g, est_as, lam)
+        p_full = primal_objective(m, g, est_full, lam)
+        assert abs(p_as - p_full) <= 1e-6
+        assert trace_as.final.gap < config.gap_tol
+        # inexact inner solves ran, yet only the full gap certified
+        tols = [tol for _, tol, _ in calls]
+        assert max(tols) > config.gap_tol
+        assert duality_gap(m, g, est_as, lam).gap < config.gap_tol
+        # the certificate follows an expansion that found no violator, whose
+        # restricted solve runs at the target tolerance itself
+        assert tols[-1] == config.gap_tol
+
+
+def test_solve_active_set_pgd_inner_uses_same_tolerances(monkeypatch):
+    rng = np.random.default_rng(27)
+    m, g, _ = make_instance(rng, n_locations=30, noise=0.2)
+    lam = 0.3 * lambda_max(m, g)
+    config = SolverConfig(lam=lam, active_batch=2)
+    bcd_calls = _record_inner_solves(monkeypatch)
+    solve_active_set(m, g, None, lam, config)
+    monkeypatch.undo()
+
+    pgd_tols = []
+    pgd = bsmx.oracle.solve_proximal_gradient
+
+    def recording(m, g, lam, gap_tol, **kwargs):
+        pgd_tols.append(gap_tol)
+        return pgd(m, g, lam, gap_tol, **kwargs)
+
+    monkeypatch.setattr(bsmx.oracle, "solve_proximal_gradient", recording)
+    est, _ = solve_active_set(m, g, None, lam, config, inner="pgd")
+    # same rule: the first, loose solve sees 0.3x the same full gap
+    assert pgd_tols[0] == bcd_calls[0][1] > config.gap_tol
+    assert pgd_tols[-1] == config.gap_tol
+    assert duality_gap(m, g, est, lam).gap < config.gap_tol
 
 
 def test_solve_active_set_warm_start_agrees():

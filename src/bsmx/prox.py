@@ -50,8 +50,9 @@ def block_lipschitz_all(design: BlockDesign) -> np.ndarray:
     if o == 1:
         return np.einsum("ns,ns->s", design.entries.reshape(n, s),
                          design.entries.reshape(n, s))
-    stacked = design.entries.reshape(n, s, o)
-    grams = np.einsum("nsi,nsj->sij", stacked, stacked)
+    # (s, o, n): one batched matmul forms every o x o Gram matrix
+    st = design.entries.reshape(n, s, o).transpose(1, 2, 0)
+    grams = st @ st.transpose(0, 2, 1)
     return np.linalg.eigvalsh(grams)[:, -1]
 
 

@@ -47,7 +47,6 @@ from .irmxne import (
     solve_irmxne,
 )
 from .constraints import (
-    OrientationWeights,
     DepthWeights,
     apply_loose_orientation,
     apply_depth_weights,
@@ -84,7 +83,6 @@ __all__ = [
     "nonconvex_objective",
     "compute_weights",
     "solve_irmxne",
-    "OrientationWeights",
     "DepthWeights",
     "apply_loose_orientation",
     "apply_depth_weights",

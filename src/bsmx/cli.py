@@ -22,16 +22,21 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
 import numpy as np
 
 from . import __version__, io
-from .constraints import apply_depth_weights, apply_loose_orientation, undo_depth_weights
+from .constraints import (
+    DepthWeights,
+    apply_depth_weights,
+    apply_loose_orientation,
+    undo_depth_weights,
+)
 from .debias import apply_scaling, estimate_scaling
 from .irmxne import nonconvex_objective, solve_irmxne
-from .model import BlockDesign, BlockSparseEstimate, Measurements, SolverConfig
+from .model import BlockDesign, Measurements, SolverConfig
 from .mxne import (
     IterationLimitError,
     duality_gap,
@@ -139,48 +144,48 @@ def _read_gain_and_data(gain_path, data_path, n_orient):
     return design, Measurements(data)
 
 
-def _transform_design(design, loose, depth):
-    """Apply orientation and depth weighting; returns (design, depth_weights)."""
+def _load_problem(args):
+    """Options, data, transformed design, depth weights and lambda of a
+    ``solve`` or ``check`` run.
+
+    The design is weighted by orientation (``--loose``) and then by depth
+    (``--depth``); a fractional lambda resolves against the weighted design.
+    """
+    opts = _Options(args, _load_config_file(args.config))
+    n_orient = int(opts.get("n_orient", 1))
+    design, data = _read_gain_and_data(args.gain, args.data, n_orient)
+    loose, depth = opts.get("loose"), opts.get("depth")
     if loose is not None:
         design = apply_loose_orientation(design, loose)
     depth_weights = None
     if depth is not None and depth > 0:
         design, depth_weights = apply_depth_weights(design, depth)
-    return design, depth_weights
 
-
-def _resolve_lam(opts, m, design) -> float:
     lam_abs = opts.get("lam")
     lam_pct = opts.get("lambda_pct")
     if (lam_abs is None) == (lam_pct is None):
         raise ValueError("give exactly one of --lambda or --lambda-pct")
     if lam_abs is not None:
-        return float(lam_abs)
-    return float(lam_pct) / 100.0 * lambda_max(m, design)
+        lam = float(lam_abs)
+    else:
+        lam = float(lam_pct) / 100.0 * lambda_max(data, design)
+    return opts, data, design, depth_weights, lam
 
 
-def _solver_config(opts, lam) -> SolverConfig:
-    return SolverConfig(
-        lam=lam,
-        gap_tol=float(opts.get("gap_tol", 1e-6)),
-        reweight_tol=float(opts.get("reweight_tol", 1e-6)),
-        max_reweight=int(opts.get("max_reweight", 30)),
-        active_batch=int(opts.get("active_batch", 10)),
-        max_bcd_iter=int(opts.get("max_bcd_iter", 100_000)),
-    )
+def _solver_config(opts, lam, lam_is_fraction=False) -> SolverConfig:
+    """``SolverConfig`` whose tunable fields come from the options, each
+    defaulting to the dataclass's own default."""
+    tunable = {
+        f.name: type(f.default)(opts.get(f.name, f.default))
+        for f in fields(SolverConfig)
+        if f.name not in ("lam", "lam_is_fraction")
+    }
+    return SolverConfig(lam=lam, lam_is_fraction=lam_is_fraction, **tunable)
 
 
 def cmd_solve(args) -> int:
     t_start = time.perf_counter()
-    cfg = _load_config_file(args.config)
-    opts = _Options(args, cfg)
-
-    n_orient = int(opts.get("n_orient", 1))
-    design0, data = _read_gain_and_data(args.gain, args.data, n_orient)
-    design, depth_weights = _transform_design(
-        design0, opts.get("loose"), opts.get("depth")
-    )
-    lam = _resolve_lam(opts, data, design)
+    opts, data, design, depth_weights, lam = _load_problem(args)
     config = _solver_config(opts, lam)
     method = opts.get("method", "mxne")
 
@@ -231,18 +236,9 @@ def _simulate_task(payload: dict) -> List[dict]:
     per seed, so regenerating inside each task is safe."""
     spec = ScenarioSpec(**payload["scenario"], rng_seed=payload["seed"])
     scenario = generate_scenario(spec)
-    pct = payload["lambda_pct"]
+    config = payload["config"]
     rows = []
     for method in payload["methods"]:
-        config = SolverConfig(
-            lam=pct / 100.0,
-            lam_is_fraction=True,
-            gap_tol=payload["gap_tol"],
-            reweight_tol=payload["reweight_tol"],
-            max_reweight=payload["max_reweight"],
-            active_batch=payload["active_batch"],
-            max_bcd_iter=payload["max_bcd_iter"],
-        )
         est = solve_with_method(scenario.m_avg, scenario.design, config, method)
         est_deb = None
         if payload["debias"] and est.n_active > 0:
@@ -251,7 +247,7 @@ def _simulate_task(payload: dict) -> List[dict]:
         report = evaluate(scenario, est, est_deb)
         rows.append({
             "seed": payload["seed"],
-            "lambda_pct": pct,
+            "lambda_pct": payload["lambda_pct"],
             "method": method,
             **report.as_dict(),
         })
@@ -279,18 +275,19 @@ def cmd_simulate(args) -> int:
         "n_trials": int(opts.get("n_trials", 100)),
         "n_noise_dipoles": int(opts.get("n_noise_dipoles", 10)),
     }
+    debias = bool(opts.get("debias", False))
+    configs = {
+        pct: _solver_config(opts, float(pct) / 100.0, lam_is_fraction=True)
+        for pct in lambda_pcts
+    }
     payloads = [
         {
             "seed": int(seed),
             "scenario": scenario_params,
             "lambda_pct": float(pct),
             "methods": list(methods),
-            "debias": bool(opts.get("debias", False)),
-            "gap_tol": float(opts.get("gap_tol", 1e-6)),
-            "reweight_tol": float(opts.get("reweight_tol", 1e-6)),
-            "max_reweight": int(opts.get("max_reweight", 30)),
-            "active_batch": int(opts.get("active_batch", 10)),
-            "max_bcd_iter": int(opts.get("max_bcd_iter", 100_000)),
+            "debias": debias,
+            "config": configs[pct],
         }
         for seed in seeds
         for pct in lambda_pcts
@@ -322,20 +319,11 @@ def cmd_simulate(args) -> int:
         for method in methods:
             stability[method] = {}
             for pct in lambda_pcts:
-                config = SolverConfig(
-                    lam=float(pct) / 100.0,
-                    lam_is_fraction=True,
-                    gap_tol=float(opts.get("gap_tol", 1e-6)),
-                    reweight_tol=float(opts.get("reweight_tol", 1e-6)),
-                    max_reweight=int(opts.get("max_reweight", 30)),
-                    active_batch=int(opts.get("active_batch", 10)),
-                    max_bcd_iter=int(opts.get("max_bcd_iter", 100_000)),
-                )
                 report = resample_stability(
                     scenario,
                     float(opts.get("resample_fraction", 0.8)),
                     n_resamples,
-                    config,
+                    configs[pct],
                     method=method,
                     rng_seed=int(seeds[0]),
                 )
@@ -359,19 +347,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _run_benchmark_method(name, m, design, lam, gap_tol, max_bcd_iter):
-    config = SolverConfig(lam=lam, gap_tol=gap_tol, max_bcd_iter=max_bcd_iter)
+def _run_benchmark_method(name, m, design, config):
+    lam = config.lam
     t0 = time.perf_counter()
     if name == "bcd_as":
         est, _ = solve_active_set(m, design, None, lam, config)
     elif name == "bcd_full":
         lips = block_lipschitz_all(design)
-        est, _ = solve_bcd(m, design, None, 1.0 / lips, lam, gap_tol,
-                           max_iter=max_bcd_iter)
+        est, _ = solve_bcd(m, design, None, 1.0 / lips, lam, config.gap_tol,
+                           max_iter=config.max_bcd_iter)
     elif name == "pgd_as":
         est, _ = solve_active_set(m, design, None, lam, config, inner="pgd")
     elif name == "pgd_full":
-        est = solve_proximal_gradient(m, design, lam, gap_tol)
+        est = solve_proximal_gradient(m, design, lam, config.gap_tol)
     else:
         raise ValueError(f"unknown benchmark method {name!r}")
     seconds = time.perf_counter() - t0
@@ -403,17 +391,12 @@ def cmd_benchmark(args) -> int:
                                       [40, 50, 60, 70, 80, 90])]
     methods = opts.get("methods") or ",".join(BENCH_METHODS)
     method_list = [name.strip() for name in methods.split(",") if name.strip()]
-    gap_tol = float(opts.get("gap_tol", 1e-6))
-    max_bcd_iter = int(opts.get("max_bcd_iter", 100_000))
-
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for pct in lambda_pcts:
-        lam = pct / 100.0 * lam_top
+        config = _solver_config(opts, pct / 100.0 * lam_top)
         for name in method_list:
-            seconds, final_gap = _run_benchmark_method(
-                name, m, design, lam, gap_tol, max_bcd_iter
-            )
+            seconds, final_gap = _run_benchmark_method(name, m, design, config)
             log.info("benchmark %s lambda_pct=%g: %.3fs gap=%.2e",
                      name, pct, seconds, final_gap)
             rows.append({
@@ -446,30 +429,20 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _load_config_file(args.config)
-    opts = _Options(args, cfg)
-
-    n_orient = int(opts.get("n_orient", 1))
-    design0, data = _read_gain_and_data(args.gain, args.data, n_orient)
-    design, depth_weights = _transform_design(
-        design0, opts.get("loose"), opts.get("depth")
-    )
-    lam = _resolve_lam(opts, data, design)
+    _, data, design, depth_weights, lam = _load_problem(args)
 
     est = io.read_estimate(args.estimate)
-    if depth_weights is not None:
-        # stored estimates refer to the original design; map back to the
-        # coordinates the solver actually optimized in
-        scale = depth_weights.per_location_scale
-        est = BlockSparseEstimate.from_blocks(
-            [(s, b / scale[s]) for s, b in zip(est.active_set, est.blocks)],
-            est.n_locations, est.n_orient, est.n_times,
-        )
     if est.n_locations != design.n_locations:
         raise ValueError(
             f"{args.estimate}: covers {est.n_locations} locations, design "
             f"has {design.n_locations}"
         )
+    if depth_weights is not None:
+        # stored estimates refer to the original design; map back to the
+        # coordinates the solver actually optimized in
+        inverse = DepthWeights(depth_weights.gamma,
+                               1.0 / depth_weights.per_location_scale)
+        est = undo_depth_weights(est, inverse)
 
     report = duality_gap(data, design, est, lam)
     result = {
@@ -500,17 +473,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--active-batch", dest="active_batch", type=int)
         p.add_argument("--max-bcd-iter", dest="max_bcd_iter", type=int)
 
+    def add_problem(p):
+        p.add_argument("--gain", required=True)
+        p.add_argument("--data", required=True)
+        p.add_argument("--n-orient", dest="n_orient", type=int)
+        p.add_argument("--lambda", dest="lam", type=float)
+        p.add_argument("--lambda-pct", dest="lambda_pct", type=float)
+        p.add_argument("--loose", type=float,
+                       help="tangential orientation weight in (0, 1]")
+        p.add_argument("--depth", type=float,
+                       help="depth compensation exponent in [0, 1]")
+
     p_solve = sub.add_parser("solve", help="solve a problem from matrix files")
-    p_solve.add_argument("--gain", required=True)
-    p_solve.add_argument("--data", required=True)
-    p_solve.add_argument("--n-orient", dest="n_orient", type=int)
-    p_solve.add_argument("--lambda", dest="lam", type=float)
-    p_solve.add_argument("--lambda-pct", dest="lambda_pct", type=float)
+    add_problem(p_solve)
     p_solve.add_argument("--method", choices=["mxne", "irmxne"])
-    p_solve.add_argument("--loose", type=float,
-                         help="tangential orientation weight in (0, 1]")
-    p_solve.add_argument("--depth", type=float,
-                         help="depth compensation exponent in [0, 1]")
     p_solve.add_argument("--debias", action="store_const", const=True)
     p_solve.add_argument("--seed", type=int)
     p_solve.add_argument("--out", required=True)
@@ -555,14 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check", help="recompute objectives and gap for a stored estimate"
     )
-    p_check.add_argument("--gain", required=True)
-    p_check.add_argument("--data", required=True)
+    add_problem(p_check)
     p_check.add_argument("--estimate", required=True)
-    p_check.add_argument("--n-orient", dest="n_orient", type=int)
-    p_check.add_argument("--lambda", dest="lam", type=float)
-    p_check.add_argument("--lambda-pct", dest="lambda_pct", type=float)
-    p_check.add_argument("--loose", type=float)
-    p_check.add_argument("--depth", type=float)
     add_common(p_check)
     p_check.set_defaults(func=cmd_check)
 

@@ -18,27 +18,11 @@ from .model import BlockDesign, BlockSparseEstimate
 from .prox import block_lipschitz_all
 
 __all__ = [
-    "OrientationWeights",
     "DepthWeights",
     "apply_loose_orientation",
     "apply_depth_weights",
     "undo_depth_weights",
 ]
-
-
-@dataclass(frozen=True)
-class OrientationWeights:
-    """Tangential down-weighting factor for free-orientation blocks.
-
-    ``rho`` in (0, 1] scales the two tangential columns of each block
-    relative to the normal column; 1 leaves the design unchanged.
-    """
-
-    rho: float
-
-    def __post_init__(self):
-        if not 0 < self.rho <= 1:
-            raise ValueError("rho must lie in (0, 1]")
 
 
 @dataclass(frozen=True, repr=False)
@@ -72,7 +56,8 @@ def apply_loose_orientation(g: BlockDesign, rho: float) -> BlockDesign:
     direction; columns 2 and 3 are the tangential directions. Requires
     three orientations per block. ``rho = 1`` is the identity.
     """
-    OrientationWeights(rho)
+    if not 0 < rho <= 1:
+        raise ValueError("rho must lie in (0, 1]")
     if g.n_orient != 3:
         raise ValueError(
             f"loose orientation weighting requires n_orient=3, got {g.n_orient}"

@@ -190,10 +190,6 @@ class BlockSparseEstimate:
         i = self._index.get(s)
         return None if i is None else self.blocks[i]
 
-    def block_norms(self) -> np.ndarray:
-        """Frobenius norm of each stored block, aligned with active_set."""
-        return np.array([np.linalg.norm(b) for b in self.blocks])
-
     def __repr__(self):
         return (
             f"BlockSparseEstimate(n_active={self.n_active}, "

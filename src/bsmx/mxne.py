@@ -29,7 +29,7 @@ from .model import (
     _check_paired,
     residual,
 )
-from .prox import BlockStepSizes, block_lipschitz_all
+from .prox import BlockStepSizes, _location_norms, block_lipschitz_all
 
 __all__ = [
     "GapReport",
@@ -139,11 +139,52 @@ def _lam_vector(lam: Union[float, np.ndarray], n_locations: int) -> np.ndarray:
     return arr
 
 
-def _location_norms(flat: np.ndarray, n_orient: int) -> np.ndarray:
-    """Frobenius norm per location block of a (S*O, T) matrix."""
-    rows = flat.reshape(flat.shape[0] // n_orient, -1)
-    # einsum squares and sums in one pass, without an S*O*T temporary
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+def _pack(est: Optional[BlockSparseEstimate], cand: Sequence[int],
+          n_orient: int, n_times: int) -> np.ndarray:
+    """Coefficients of ``est`` in the contiguous ``(|cand| * O, T)`` layout.
+
+    Rows ``i*O:(i+1)*O`` hold the block of location ``cand[i]``; ``None``
+    packs to zeros. The support of ``est`` must lie within ``cand``.
+    """
+    x = np.zeros((len(cand) * n_orient, n_times))
+    if est is not None:
+        position = {int(s): i for i, s in enumerate(cand)}
+        for s, blk in zip(est.active_set, est.blocks):
+            if s not in position:
+                raise ValueError(
+                    f"warm-start location {s} is outside the candidate set"
+                )
+            i = position[s]
+            x[i * n_orient:(i + 1) * n_orient] = blk
+    return x
+
+
+def _unpack(x: np.ndarray, cand: Sequence[int], n_locations: int,
+            n_orient: int) -> BlockSparseEstimate:
+    """Inverse of :func:`_pack`; exactly-zero blocks are dropped."""
+    return BlockSparseEstimate.from_blocks(
+        ((int(s), x[i * n_orient:(i + 1) * n_orient])
+         for i, s in enumerate(cand)),
+        n_locations, n_orient, x.shape[1],
+    )
+
+
+def _primal(r: np.ndarray, coef: np.ndarray, lam_vec: np.ndarray,
+            n_orient: int) -> float:
+    """Primal objective from a residual and packed coefficients."""
+    pen = float(lam_vec @ _location_norms(coef, n_orient))
+    return 0.5 * float((r * r).sum()) + pen
+
+
+def _scaled_dual(r: np.ndarray, gt: np.ndarray, lam_vec: np.ndarray,
+                 n_orient: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Feasible dual point of a residual and the scores ``||G_s^T R||_Fro``.
+
+    ``gt`` holds the rows of ``G^T`` of the locations ``lam_vec`` covers.
+    The point is ``Y = R / max(max_s ||G_s^T R||_Fro / lam_s, 1)``.
+    """
+    norms = _location_norms(gt @ r, n_orient)
+    return r / max(float((norms / lam_vec).max()), 1.0), norms
 
 
 def _penalty(est: BlockSparseEstimate, lam_vec: np.ndarray) -> float:
@@ -171,10 +212,7 @@ def dual_map(residual_tilde: np.ndarray, g: BlockDesign,
     feasible residual untouched.
     """
     lam_vec = _lam_vector(lam, g.n_locations)
-    corr = g.entries.T @ residual_tilde
-    norms = _location_norms(corr, g.n_orient)
-    scale = max(float((norms / lam_vec).max()), 1.0)
-    return residual_tilde / scale
+    return _scaled_dual(residual_tilde, g.entries.T, lam_vec, g.n_orient)[0]
 
 
 def dual_objective(m: Measurements, y: np.ndarray) -> float:
@@ -201,10 +239,7 @@ def _gap_and_scores(
     violation scores, so they are returned to avoid a second scan.
     """
     r = residual(m, g, est)
-    corr = g.entries.T @ r
-    norms = _location_norms(corr, g.n_orient)
-    scale = max(float((norms / lam_vec).max()), 1.0)
-    y = r / scale
+    y, norms = _scaled_dual(r, g.entries.T, lam_vec, g.n_orient)
     primal = 0.5 * float((r * r).sum()) + _penalty(est, lam_vec)
     dual = dual_objective(m, y)
     report = GapReport(primal=primal, dual=dual, gap=primal - dual,
@@ -334,18 +369,8 @@ def solve_bcd(
         raise ValueError("step sizes must be positive and finite on candidates")
 
     n_cand = len(cand)
-    x = np.zeros((n_cand * n_orient, n_times))
-    active = [False] * n_cand
-    if init is not None:
-        position = {s: i for i, s in enumerate(cand)}
-        for s, blk in zip(init.active_set, init.blocks):
-            if s not in position:
-                raise ValueError(
-                    f"warm-start location {s} is outside the candidate set"
-                )
-            i = position[s]
-            x[i * n_orient:(i + 1) * n_orient] = blk
-            active[i] = True
+    x = _pack(init, cand, n_orient, n_times)
+    active = (_location_norms(x, n_orient) > 0).tolist()
 
     # contiguous copy; g_cand_t[i * O:(i + 1) * O] is G_s^T of candidate i
     g_cand_t = g.entries.T[g.column_indices(cand)]
@@ -360,26 +385,13 @@ def solve_bcd(
         for i, (s, sl) in enumerate(zip(cand, rows))
     ]
 
-    def build():
-        return BlockSparseEstimate.from_blocks(
-            ((s, x[sl]) for s, sl, on in zip(cand, rows, active) if on),
-            n_loc, n_orient, n_times,
-        )
-
     def fresh_residual(coef):
         return m.entries - g_cand_t.T @ coef
 
-    def restricted_primal(coef, r):
-        pen = float(lam_cand @ _location_norms(coef, n_orient))
-        return 0.5 * float((r * r).sum()) + pen
-
     def restricted_gap(r):
-        primal = restricted_primal(x, r)
-        norms = _location_norms(g_cand_t @ r, n_orient)
-        scale = max(float((norms / lam_cand).max()), 1.0)
-        y = r / scale
-        dual = float((y * m.entries).sum() - 0.5 * (y * y).sum())
-        return primal, primal - dual
+        primal = _primal(r, x, lam_cand, n_orient)
+        y, _ = _scaled_dual(r, g_cand_t, lam_cand, n_orient)
+        return primal, primal - dual_objective(m, y)
 
     def extrapolate(primal):
         """Anderson point of the last window, or None if it is no better."""
@@ -399,7 +411,7 @@ def solve_bcd(
         if not np.isfinite(x_e).all():
             return None
         r_e = fresh_residual(x_e)
-        if not restricted_primal(x_e, r_e) < primal:
+        if not _primal(r_e, x_e, lam_cand, n_orient) < primal:
             return None
         return x_e, r_e
 
@@ -414,7 +426,7 @@ def solve_bcd(
             raise IterationLimitError(
                 f"coordinate descent did not reach gap {gap_tol:g} within "
                 f"{max_iter} sweeps (gap={gap:.3e})",
-                estimate=build(),
+                estimate=_unpack(x, cand, n_loc, n_orient),
                 gap=gap,
             )
         k = sweeps % _ANDERSON_K
@@ -445,7 +457,7 @@ def solve_bcd(
         if sweeps % _RESYNC_EVERY == 0:
             r = fresh_residual(x)
 
-    return build(), trace
+    return _unpack(x, cand, n_loc, n_orient), trace
 
 
 def _top_violators(norms: np.ndarray, lam_vec: np.ndarray, exclude: set,

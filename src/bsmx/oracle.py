@@ -19,7 +19,16 @@ from .model import (
     Measurements,
     _check_paired,
 )
-from .mxne import IterationLimitError, _lam_vector, _location_norms
+from .mxne import (
+    IterationLimitError,
+    _lam_vector,
+    _pack,
+    _primal,
+    _scaled_dual,
+    _unpack,
+    dual_objective,
+)
+from .prox import prox_blocks
 
 __all__ = ["global_lipschitz", "solve_proximal_gradient"]
 
@@ -51,15 +60,6 @@ def global_lipschitz(g: BlockDesign, *, tol: float = 1e-12,
             return lam_new
         lam = lam_new
     return lam
-
-
-def _prox_blocks(x: np.ndarray, thresholds: np.ndarray, n_orient: int) -> np.ndarray:
-    """Group soft-thresholding of every block of a dense matrix at once."""
-    norms = _location_norms(x, n_orient)
-    factors = np.maximum(1.0 - thresholds / np.maximum(norms, thresholds), 0.0)
-    out = x * np.repeat(factors, n_orient)[:, None]
-    out[np.repeat(factors == 0.0, n_orient)] = 0.0
-    return out
 
 
 def solve_proximal_gradient(
@@ -127,72 +127,44 @@ def solve_proximal_gradient(
     step = 1.0 / lip
     thresholds = step * lam_vec
 
-    def primal_of(x, r):
-        return 0.5 * float((r * r).sum()) + float(
-            (lam_vec * _location_norms(x, n_orient)).sum()
-        )
-
     def gap_of(x, r):
-        corr = a.T @ r
-        norms = _location_norms(corr, n_orient)
-        scale = max(float((norms / lam_vec).max()), 1.0)
-        y = r / scale
-        dual = float((y * mm).sum() - 0.5 * (y * y).sum())
-        return primal_of(x, r) - dual
+        y, _ = _scaled_dual(r, a.T, lam_vec, n_orient)
+        return _primal(r, x, lam_vec, n_orient) - dual_objective(m, y)
 
-    if init is None:
-        x = np.zeros((len(cand) * n_orient, n_times))
-    else:
-        pos_of = {int(s): j for j, s in enumerate(cand)}
-        if any(s not in pos_of for s in init.active_set):
-            raise ValueError("warm-start support is outside the candidate set")
-        x = np.zeros((len(cand) * n_orient, n_times))
-        for s, blk in zip(init.active_set, init.blocks):
-            j = pos_of[int(s)]
-            x[j * n_orient:(j + 1) * n_orient] = blk
-
+    x = _pack(init, cand, n_orient, n_times)
     r = mm - a @ x
-    f_x = primal_of(x, r)
+    f_x = _primal(r, x, lam_vec, n_orient)
     if gap_of(x, r) < gap_tol:
-        return _to_estimate(x, cand, g.n_locations, n_orient, n_times)
+        return _unpack(x, cand, g.n_locations, n_orient)
 
     z = x.copy()
     t = 1.0
     for it in range(1, max_iter + 1):
         grad_point = z + step * (a.T @ (mm - a @ z))
-        x_new = _prox_blocks(grad_point, thresholds, n_orient)
+        x_new = prox_blocks(grad_point, thresholds, n_orient)
         r_new = mm - a @ x_new
-        f_new = primal_of(x_new, r_new)
+        f_new = _primal(r_new, x_new, lam_vec, n_orient)
         if f_new > f_x:
             # momentum overshot: restart from the last accepted iterate
             t = 1.0
             z = x.copy()
             grad_point = z + step * (a.T @ (mm - a @ z))
-            x_new = _prox_blocks(grad_point, thresholds, n_orient)
+            x_new = prox_blocks(grad_point, thresholds, n_orient)
             r_new = mm - a @ x_new
-            f_new = primal_of(x_new, r_new)
+            f_new = _primal(r_new, x_new, lam_vec, n_orient)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         z = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, f_x, t = x_new, f_new, t_new
         if callback is not None:
             callback(it, x, f_x)
         if it % gap_check_every == 0 and gap_of(x, r_new) < gap_tol:
-            return _to_estimate(x, cand, g.n_locations, n_orient, n_times)
+            return _unpack(x, cand, g.n_locations, n_orient)
 
     gap = gap_of(x, mm - a @ x)
     raise IterationLimitError(
         f"proximal gradient did not reach gap {gap_tol:g} within "
         f"{max_iter} iterations (gap={gap:.3e})",
-        estimate=_to_estimate(x, cand, g.n_locations, n_orient, n_times),
+        estimate=_unpack(x, cand, g.n_locations, n_orient),
         gap=gap,
     )
 
-
-def _to_estimate(x: np.ndarray, cand: np.ndarray, n_locations: int,
-                 n_orient: int, n_times: int) -> BlockSparseEstimate:
-    items = []
-    for j, s in enumerate(cand):
-        blk = x[j * n_orient:(j + 1) * n_orient]
-        if blk.any():
-            items.append((int(s), blk))
-    return BlockSparseEstimate.from_blocks(items, n_locations, n_orient, n_times)

@@ -1,4 +1,4 @@
-"""Proximal operator and per-block curvature constants for the BCD solver."""
+"""Group proximal operator, block norms and per-block curvature constants."""
 
 from __future__ import annotations
 
@@ -13,16 +13,36 @@ __all__ = [
     "block_lipschitz",
     "block_lipschitz_all",
     "group_soft_threshold",
+    "prox_blocks",
 ]
+
+
+def _location_norms(flat: np.ndarray, n_orient: int) -> np.ndarray:
+    """Frobenius norm per location block of a (S*O, T) matrix."""
+    rows = flat.reshape(flat.shape[0] // n_orient, -1)
+    # einsum squares and sums in one pass, without an S*O*T temporary
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+def prox_blocks(x: np.ndarray, thresholds: np.ndarray, n_orient: int) -> np.ndarray:
+    """Group soft-thresholding of every block of a ``(S*O, T)`` matrix at once.
+
+    Block ``s`` is scaled by ``max(1 - thresholds[s] / ||X_s||_Fro, 0)``;
+    blocks inside their threshold ball become exactly ``+0.0``.
+    """
+    norms = _location_norms(x, n_orient)
+    factors = np.maximum(1.0 - thresholds / np.maximum(norms, thresholds), 0.0)
+    out = x * np.repeat(factors, n_orient)[:, None]
+    out[np.repeat(factors == 0.0, n_orient)] = 0.0
+    return out
 
 
 def block_lipschitz(block: np.ndarray) -> float:
     """Curvature constant of the data fit restricted to one block.
 
     Returns the spectral norm of ``block.T @ block``, i.e. the squared
-    largest singular value of the block. Computed by exact symmetric
-    eigendecomposition of the tiny Gram matrix rather than iteration;
-    with at most a handful of columns per block, exactness is cheap.
+    largest singular value of the block, as :func:`block_lipschitz_all`
+    computes it for a one-location design.
 
     Raises
     ------
@@ -35,8 +55,7 @@ def block_lipschitz(block: np.ndarray) -> float:
         raise ValueError("design block must be 2-D")
     if not block.any():
         raise ValueError("degenerate design block: all entries are zero")
-    gram = block.T @ block
-    return float(np.linalg.eigvalsh(gram)[-1])
+    return float(block_lipschitz_all(BlockDesign(block, 1, block.shape[1]))[0])
 
 
 def block_lipschitz_all(design: BlockDesign) -> np.ndarray:
@@ -106,7 +125,5 @@ def group_soft_threshold(block: np.ndarray, threshold: float) -> np.ndarray:
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     block = np.asarray(block, dtype=float)
-    norm = np.sqrt((block * block).sum())
-    if norm <= threshold:
-        return np.zeros_like(block)
-    return block * (1.0 - threshold / norm)
+    flat = block.reshape(1, -1)
+    return prox_blocks(flat, np.array([float(threshold)]), 1).reshape(block.shape)

@@ -26,6 +26,7 @@ from .model import (
     Measurements,
     SolverConfig,
     densify,
+    residual,
 )
 from .irmxne import solve_irmxne
 from .mxne import resolve_lambda, solve_active_set
@@ -309,9 +310,7 @@ def goodness_of_fit(m: Measurements, g: BlockDesign,
     denom = float((m.entries ** 2).sum())
     if denom == 0.0:
         return 0.0
-    fit = m.entries.copy()
-    for s, blk in zip(est.active_set, est.blocks):
-        fit -= g.block(s) @ blk
+    fit = residual(m, g, est)
     return 1.0 - float((fit ** 2).sum()) / denom
 
 

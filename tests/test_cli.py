@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from bsmx import io
+from bsmx import cli, io
 from bsmx.cli import main
-from bsmx.model import densify
+from bsmx.model import BlockSparseEstimate, densify
 from bsmx.sim import random_instance
 
 
@@ -253,3 +253,41 @@ def test_benchmark_outputs(tmp_path):
     for row in rows:
         assert float(row["final_gap"]) < 1e-6
         assert float(row["seconds"]) >= 0
+
+
+def test_check_depth_rejects_estimate_over_other_locations(tmp_path, caplog):
+    rng = np.random.default_rng(3)
+    m, g, _ = random_instance(rng, 10, 8, 1, 4, n_active=2, noise=0.1)
+    gain = tmp_path / "gain.csv"
+    data = tmp_path / "data.csv"
+    io.write_matrix_csv(gain, g.entries)
+    io.write_matrix_csv(data, m.entries)
+    # location 11 lies outside the 8-location design
+    est = BlockSparseEstimate.from_blocks([(11, np.ones((1, 4)))], 12, 1, 4)
+    path = tmp_path / "estimate.json"
+    io.write_estimate(path, est)
+    rc = main(["check", "--gain", str(gain), "--data", str(data),
+               "--estimate", str(path), "--lambda-pct", "40",
+               "--depth", "0.8"])
+    assert rc == 2
+    assert "covers 12 locations, design has 8" in caplog.text
+
+
+def test_benchmark_honours_active_batch(tmp_path, monkeypatch):
+    batches = []
+    solve = cli.solve_active_set
+
+    def recording(m, g, warm, lam, config, **kwargs):
+        batches.append(config.active_batch)
+        return solve(m, g, warm, lam, config, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_active_set", recording)
+    out = tmp_path / "bench"
+    rc = main(["benchmark", "--seed", "5", "--n-sensors", "20",
+               "--n-locations", "40", "--n-orient", "1", "--n-times", "5",
+               "--lambda-pct", "50", "--methods", "bcd_as",
+               "--active-batch", "50", "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["active_batch"] == 50
+    assert batches == [50]

@@ -8,9 +8,10 @@ from bsmx.mxne import (
     lambda_max,
     primal_objective,
     solve_active_set,
+    solve_bcd,
 )
 from bsmx.oracle import global_lipschitz, solve_proximal_gradient
-from bsmx.prox import block_lipschitz, group_soft_threshold
+from bsmx.prox import block_lipschitz, block_lipschitz_all, group_soft_threshold
 
 from helpers import make_instance, orthonormal_design
 
@@ -115,3 +116,25 @@ def test_pgd_iteration_cap():
         solve_proximal_gradient(m, g, lam, 1e-12, max_iter=3)
     assert excinfo.value.estimate is not None
     assert excinfo.value.gap > 1e-12
+
+
+def test_gaps_of_both_solvers_and_the_trace_agree():
+    # solve_bcd's restricted gap, the full-problem duality_gap and the
+    # oracle share one dual scaling; at a tight tolerance they agree
+    rng = np.random.default_rng(11)
+    for o in (1, 3):
+        for per_location in (False, True):
+            m, g, _ = make_instance(rng, n_sensors=15, n_locations=12,
+                                    n_orient=o, n_times=4)
+            lam = 0.3 * lambda_max(m, g)
+            if per_location:
+                lam = lam * rng.uniform(0.5, 1.5, g.n_locations)
+            tol = 1e-13 * 0.5 * float((m.entries ** 2).sum())
+            mu = 1.0 / block_lipschitz_all(g)
+            est, trace = solve_bcd(m, g, None, mu, lam, tol)
+            report = duality_gap(m, g, est, lam)
+            pgd = solve_proximal_gradient(m, g, lam, tol)
+            gaps = [report.gap, trace.final.gap, duality_gap(m, g, pgd, lam).gap]
+            assert max(gaps) - min(gaps) <= 1e-12 * report.primal, gaps
+            assert trace.final.primal == pytest.approx(report.primal,
+                                                       rel=1e-12)

@@ -7,6 +7,7 @@ from bsmx.prox import (
     block_lipschitz,
     block_lipschitz_all,
     group_soft_threshold,
+    prox_blocks,
 )
 
 from helpers import golden_section_prox_scale, orthonormal_design
@@ -143,3 +144,20 @@ def test_group_soft_threshold_preserves_direction():
         # nonnegative scaling of the input
         scale = norm_out / np.linalg.norm(a)
         assert np.allclose(out, scale * a, atol=1e-12)
+
+
+def test_group_soft_threshold_matches_prox_blocks_bitwise():
+    rng = np.random.default_rng(10)
+    for o in (1, 3):
+        n_loc, n_times = 20, 6
+        x = rng.standard_normal((n_loc * o, n_times))
+        norms = np.linalg.norm(x.reshape(n_loc, -1), axis=1)
+        # about half the blocks fall inside their ball and must become +0.0
+        thresholds = norms * rng.uniform(0.5, 1.5, n_loc)
+        out = prox_blocks(x, thresholds, o)
+        assert not np.signbit(out[out == 0.0]).any()
+        for s in range(n_loc):
+            rows = slice(s * o, (s + 1) * o)
+            single = group_soft_threshold(x[rows], thresholds[s])
+            assert single.tobytes() == out[rows].tobytes()
+        assert (out.reshape(n_loc, -1) == 0.0).all(axis=1).sum() > 0

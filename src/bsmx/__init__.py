@@ -22,7 +22,6 @@ from .model import (
     residual,
 )
 from .prox import (
-    BlockStepSizes,
     block_lipschitz,
     block_lipschitz_all,
     group_soft_threshold,
@@ -64,7 +63,6 @@ __all__ = [
     "densify",
     "sparsify",
     "residual",
-    "BlockStepSizes",
     "block_lipschitz",
     "block_lipschitz_all",
     "group_soft_threshold",

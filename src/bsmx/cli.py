@@ -22,7 +22,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional
 
 import numpy as np
@@ -45,7 +45,6 @@ from .mxne import (
     solve_bcd,
 )
 from .oracle import solve_proximal_gradient
-from .prox import block_lipschitz_all
 from .sim import (
     ScenarioSpec,
     evaluate,
@@ -74,18 +73,7 @@ class RunManifest:
     def write(self, outdir):
         path = os.path.join(outdir, "manifest.json")
         with open(path, "w") as fh:
-            json.dump(
-                {
-                    "command": self.command,
-                    "config": self.config,
-                    "inputs": self.inputs,
-                    "library_version": self.library_version,
-                    "rng_seeds": self.rng_seeds,
-                    "wall_time_s": self.wall_time_s,
-                },
-                fh,
-                indent=2,
-            )
+            json.dump(asdict(self), fh, indent=2)
             fh.write("\n")
 
 
@@ -267,13 +255,11 @@ def cmd_simulate(args) -> int:
     methods = opts.get("method") or ["mxne"]
     jobs = int(opts.get("jobs") or os.environ.get("BSMX_JOBS", "1"))
 
+    spec_defaults = {f.name: f.default for f in fields(ScenarioSpec)}
     scenario_params = {
-        "n_sensors": int(opts.get("n_sensors", 60)),
-        "n_locations": int(opts.get("n_locations", 500)),
-        "n_orient": int(opts.get("n_orient", 1)),
-        "n_times": int(opts.get("n_times", 50)),
-        "n_trials": int(opts.get("n_trials", 100)),
-        "n_noise_dipoles": int(opts.get("n_noise_dipoles", 10)),
+        name: int(opts.get(name, spec_defaults[name]))
+        for name in ("n_sensors", "n_locations", "n_orient", "n_times",
+                     "n_trials", "n_noise_dipoles")
     }
     debias = bool(opts.get("debias", False))
     configs = {
@@ -302,11 +288,11 @@ def cmd_simulate(args) -> int:
 
     rows = [row for batch in results for row in batch]
     rows.sort(key=lambda r: (r["seed"], r["lambda_pct"], r["method"]))
-    fields = ["seed", "lambda_pct", "method", "true_positives",
-              "false_positives", "active_set_size", "rmse", "rmse_debiased",
-              "gof"]
+    columns = ["seed", "lambda_pct", "method", "true_positives",
+               "false_positives", "active_set_size", "rmse", "rmse_debiased",
+               "gof"]
     with open(os.path.join(args.out, "metrics.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -353,8 +339,7 @@ def _run_benchmark_method(name, m, design, config):
     if name == "bcd_as":
         est, _ = solve_active_set(m, design, None, lam, config)
     elif name == "bcd_full":
-        lips = block_lipschitz_all(design)
-        est, _ = solve_bcd(m, design, None, 1.0 / lips, lam, config.gap_tol,
+        est, _ = solve_bcd(m, design, None, lam, config.gap_tol,
                            max_iter=config.max_bcd_iter)
     elif name == "pgd_as":
         est, _ = solve_active_set(m, design, None, lam, config, inner="pgd")

@@ -29,7 +29,7 @@ from .model import (
     _check_paired,
     residual,
 )
-from .prox import BlockStepSizes, _location_norms, block_lipschitz_all
+from .prox import _location_norms, block_lipschitz_all
 
 __all__ = [
     "GapReport",
@@ -278,18 +278,10 @@ def resolve_lambda(config: SolverConfig, m: Measurements, g: BlockDesign) -> flo
     return config.lam
 
 
-def _mu_array(mu: Union[BlockStepSizes, np.ndarray], n_locations: int) -> np.ndarray:
-    arr = np.asarray(mu.mu if isinstance(mu, BlockStepSizes) else mu, dtype=float)
-    if arr.shape != (n_locations,):
-        raise ValueError(f"mu must have length {n_locations}")
-    return arr
-
-
 def solve_bcd(
     m: Measurements,
     g: BlockDesign,
     init: Optional[BlockSparseEstimate],
-    mu: Union[BlockStepSizes, np.ndarray],
     lam: Union[float, np.ndarray],
     gap_tol: float,
     *,
@@ -305,10 +297,11 @@ def solve_bcd(
     ``(|candidates| * n_orient, n_times)`` array next to a contiguous copy
     of the candidate design columns. Each sweep visits the candidate
     locations in ascending order and applies the closed-form update: a
-    gradient step with the per-block step length followed by group
-    soft-thresholding. The residual is updated incrementally after each
-    block change and recomputed with one product every 50 sweeps to bound
-    drift.
+    gradient step of length ``1 / L_s`` followed by group
+    soft-thresholding. The step is derived, not passed in:
+    ``L_s = ||G_s^T G_s||`` is computed once per call for the candidate
+    blocks. The residual is updated incrementally after each block change
+    and recomputed with one product every 50 sweeps to bound drift.
 
     Every ``_ANDERSON_K`` (5) sweeps the last iterates are extrapolated
     (Anderson acceleration of coordinate descent; Bertrand and Massias,
@@ -337,6 +330,9 @@ def solve_bcd(
 
     Raises
     ------
+    ValueError
+        If a candidate location has an all-zero design block, whose step
+        length would be undefined.
     IterationLimitError
         If ``max_iter`` sweeps pass without reaching the tolerance. The
         error carries the last iterate and its gap.
@@ -346,7 +342,6 @@ def solve_bcd(
     _check_paired(m, g, init)
     n_loc, n_orient, n_times = g.n_locations, g.n_orient, m.n_times
     lam_vec = _lam_vector(lam, n_loc)
-    mu_arr = _mu_array(mu, n_loc)
 
     if candidates is None:
         cand = list(range(n_loc))
@@ -365,24 +360,32 @@ def solve_bcd(
         trace.add(0.0, 0, primal, time.perf_counter() - t0)
         return est, trace
 
-    if not np.all(np.isfinite(mu_arr[cand])) or not np.all(mu_arr[cand] > 0):
-        raise ValueError("step sizes must be positive and finite on candidates")
-
     n_cand = len(cand)
-    x = _pack(init, cand, n_orient, n_times)
-    active = (_location_norms(x, n_orient) > 0).tolist()
-
     # contiguous copy; g_cand_t[i * O:(i + 1) * O] is G_s^T of candidate i
     g_cand_t = g.entries.T[g.column_indices(cand)]
+    # with every location a candidate, the design itself serves (no copy)
+    cand_design = (g if n_cand == n_loc
+                   else BlockDesign(g_cand_t.T, n_cand, n_orient))
+    lips = block_lipschitz_all(cand_design)
+    zero = np.flatnonzero(lips <= 0)
+    if zero.size:
+        raise ValueError(
+            f"degenerate design block at location {cand[zero[0]]}: all "
+            "entries are zero"
+        )
+    steps = 1.0 / lips
+
+    x = _pack(init, cand, n_orient, n_times)
+    active = (_location_norms(x, n_orient) > 0).tolist()
     lam_cand = lam_vec[cand]
     x_flat = x.reshape(-1)
     # row 0: iterate at the start of the window; row k: change of sweep k
     history = np.empty((_ANDERSON_K + 1, x.size))
     rows = [slice(i * n_orient, (i + 1) * n_orient) for i in range(n_cand)]
     sweep_args = [
-        (i, g_cand_t[sl], g_cand_t[sl].T, x[sl], mu_arr[s],
-         mu_arr[s] * lam_vec[s])
-        for i, (s, sl) in enumerate(zip(cand, rows))
+        (i, g_cand_t[sl], g_cand_t[sl].T, x[sl], steps[i],
+         steps[i] * lam_cand[i])
+        for i, sl in enumerate(rows)
     ]
 
     def fresh_residual(coef):
@@ -539,8 +542,10 @@ def solve_active_set(
     n_loc, n_orient, n_times = g.n_locations, g.n_orient, m.n_times
     lam_vec = _lam_vector(lam, n_loc)
 
-    lips = block_lipschitz_all(g)
-    valid = lips > 0
+    # all-zero blocks have zero energy; the einsum reads the design in
+    # place, with no Lipschitz pass and no copy
+    blocks = g.entries.reshape(g.n_sensors, n_loc, n_orient)
+    valid = np.einsum("nso,nso->s", blocks, blocks) > 0
     if not valid.all():
         warnings.warn(
             f"excluding {int((~valid).sum())} all-zero design blocks from "
@@ -548,8 +553,6 @@ def solve_active_set(
             RuntimeWarning,
             stacklevel=2,
         )
-    mu_arr = np.zeros(n_loc)
-    mu_arr[valid] = 1.0 / lips[valid]
 
     if warm is None:
         est = BlockSparseEstimate.empty(n_loc, n_orient, n_times)
@@ -590,7 +593,7 @@ def solve_active_set(
             inner_tol = max(inner_tol, _INNER_TOL_RATIO * report.gap)
         if inner == "bcd":
             est, _ = solve_bcd(
-                m, g, est, mu_arr, lam_vec, inner_tol,
+                m, g, est, lam_vec, inner_tol,
                 candidates=cand, max_iter=config.max_bcd_iter,
                 trace=trace, time_origin=t0,
             )

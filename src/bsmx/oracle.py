@@ -32,34 +32,19 @@ from .prox import prox_blocks
 
 __all__ = ["global_lipschitz", "solve_proximal_gradient"]
 
+# the duality gap is evaluated after every this many iterations
+_GAP_CHECK_EVERY = 10
 
-def global_lipschitz(g: BlockDesign, *, tol: float = 1e-12,
-                     max_iter: int = 1000, seed: int = 0) -> float:
-    """Spectral norm of ``G^T G`` by power iteration.
 
-    Deterministic: the start vector comes from a fixed-seed generator.
-    Stops when the Rayleigh quotient changes by less than ``tol`` in
-    relative terms, or after ``max_iter`` iterations.
+def global_lipschitz(g: BlockDesign) -> float:
+    """Spectral norm of ``G^T G``.
+
+    The largest eigenvalue of the smaller of the two Gram matrices
+    ``G G^T`` and ``G^T G``, which share their nonzero spectrum.
     """
-    rng = np.random.default_rng(seed)
     a = g.entries
-    for _ in range(3):
-        v = rng.standard_normal(a.shape[1])
-        w = a.T @ (a @ v)
-        if np.linalg.norm(w) > 0:
-            break
-    else:
-        raise ValueError("power iteration start vector lies in the null space")
-
-    lam = 0.0
-    for _ in range(max_iter):
-        v = w / np.linalg.norm(w)
-        w = a.T @ (a @ v)
-        lam_new = float(v @ w)
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    return lam
+    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    return float(np.linalg.eigvalsh(gram)[-1])
 
 
 def solve_proximal_gradient(
@@ -71,7 +56,6 @@ def solve_proximal_gradient(
     max_iter: int = 50_000,
     candidates: Optional[Sequence[int]] = None,
     init: Optional[BlockSparseEstimate] = None,
-    gap_check_every: int = 10,
     callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
 ) -> BlockSparseEstimate:
     """Accelerated proximal gradient descent to gap-certified optimality.
@@ -91,8 +75,10 @@ def solve_proximal_gradient(
     init : BlockSparseEstimate, optional
         Warm start; must be supported within ``candidates`` if both given.
     callback : callable, optional
-        Invoked as ``callback(iteration, x_dense, primal)`` after every
-        accepted iterate.
+        Invoked as ``callback(iteration, x, primal)`` after every accepted
+        iterate. ``x`` is packed: shape ``(|candidates| * n_orient,
+        n_times)``, rows ``i*O:(i+1)*O`` holding the block of the ``i``-th
+        candidate in ascending order.
 
     Raises
     ------
@@ -131,6 +117,13 @@ def solve_proximal_gradient(
         y, _ = _scaled_dual(r, a.T, lam_vec, n_orient)
         return _primal(r, x, lam_vec, n_orient) - dual_objective(m, y)
 
+    def prox_step(z):
+        """Proximal gradient step from ``z``: iterate, residual, primal."""
+        grad_point = z + step * (a.T @ (mm - a @ z))
+        x_new = prox_blocks(grad_point, thresholds, n_orient)
+        r_new = mm - a @ x_new
+        return x_new, r_new, _primal(r_new, x_new, lam_vec, n_orient)
+
     x = _pack(init, cand, n_orient, n_times)
     r = mm - a @ x
     f_x = _primal(r, x, lam_vec, n_orient)
@@ -140,24 +133,17 @@ def solve_proximal_gradient(
     z = x.copy()
     t = 1.0
     for it in range(1, max_iter + 1):
-        grad_point = z + step * (a.T @ (mm - a @ z))
-        x_new = prox_blocks(grad_point, thresholds, n_orient)
-        r_new = mm - a @ x_new
-        f_new = _primal(r_new, x_new, lam_vec, n_orient)
+        x_new, r_new, f_new = prox_step(z)
         if f_new > f_x:
             # momentum overshot: restart from the last accepted iterate
             t = 1.0
-            z = x.copy()
-            grad_point = z + step * (a.T @ (mm - a @ z))
-            x_new = prox_blocks(grad_point, thresholds, n_orient)
-            r_new = mm - a @ x_new
-            f_new = _primal(r_new, x_new, lam_vec, n_orient)
+            x_new, r_new, f_new = prox_step(x)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         z = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, f_x, t = x_new, f_new, t_new
         if callback is not None:
             callback(it, x, f_x)
-        if it % gap_check_every == 0 and gap_of(x, r_new) < gap_tol:
+        if it % _GAP_CHECK_EVERY == 0 and gap_of(x, r_new) < gap_tol:
             return _unpack(x, cand, g.n_locations, n_orient)
 
     gap = gap_of(x, mm - a @ x)

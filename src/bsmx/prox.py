@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import BlockDesign
 
 __all__ = [
-    "BlockStepSizes",
     "block_lipschitz",
     "block_lipschitz_all",
     "group_soft_threshold",
@@ -73,43 +70,6 @@ def block_lipschitz_all(design: BlockDesign) -> np.ndarray:
     st = design.entries.reshape(n, s, o).transpose(1, 2, 0)
     grams = st @ st.transpose(0, 2, 1)
     return np.linalg.eigvalsh(grams)[:, -1]
-
-
-@dataclass(frozen=True, repr=False)
-class BlockStepSizes:
-    """Per-location step lengths ``mu[s] = 1 / L_s`` for coordinate updates.
-
-    ``L_s`` is the spectral norm of the block Gram matrix; the step is the
-    largest one for which the per-block update is a descent step.
-    """
-
-    mu: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.mu, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("mu must be a vector")
-        if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
-            raise ValueError("step sizes must be strictly positive and finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "mu", arr)
-
-    @classmethod
-    def from_design(cls, design: BlockDesign) -> "BlockStepSizes":
-        lips = block_lipschitz_all(design)
-        if np.any(lips <= 0):
-            bad = int(np.flatnonzero(lips <= 0)[0])
-            raise ValueError(
-                f"degenerate design block at location {bad}: all entries are zero"
-            )
-        return cls(1.0 / lips)
-
-    def __len__(self):
-        return self.mu.shape[0]
-
-    def __repr__(self):
-        return f"BlockStepSizes(n_locations={len(self)})"
 
 
 def group_soft_threshold(block: np.ndarray, threshold: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from bsmx.mxne import (
     solve_bcd,
 )
 from bsmx.oracle import solve_proximal_gradient
-from bsmx.prox import BlockStepSizes, group_soft_threshold
+from bsmx.prox import group_soft_threshold
 from bsmx.sim import (
     ScenarioSpec,
     evaluate,
@@ -355,8 +355,7 @@ def test_criterion_10_equivariance():
                 g.n_locations, g.n_orient, m.n_times,
             )
             lam_vec = lam / w
-            mu = BlockStepSizes.from_design(g)
-            est_b, _ = solve_bcd(m, g, None, mu, lam_vec, 1e-10)
+            est_b, _ = solve_bcd(m, g, None, lam_vec, 1e-10)
             p_a = primal_objective(m, g, est_a, lam_vec)
             p_b = primal_objective(m, g, est_b, lam_vec)
             worst_reform = max(worst_reform, abs(p_a - p_b))

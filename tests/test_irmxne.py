@@ -15,7 +15,6 @@ from bsmx.model import (
     densify,
 )
 from bsmx.mxne import lambda_max, primal_objective, solve_active_set, solve_bcd
-from bsmx.prox import BlockStepSizes
 from bsmx.sim import ScenarioSpec, generate_scenario
 
 from helpers import dense_sqrt_objective, make_instance
@@ -177,8 +176,7 @@ def test_weighted_reformulation_equivalence():
         )
 
         lam_vec = lam / w
-        mu = BlockStepSizes.from_design(g)
-        est_b, _ = solve_bcd(m, g, None, mu, lam_vec, 1e-10)
+        est_b, _ = solve_bcd(m, g, None, lam_vec, 1e-10)
 
         p_a = primal_objective(m, g, est_a, lam_vec)
         p_b = primal_objective(m, g, est_b, lam_vec)

@@ -26,7 +26,7 @@ from bsmx.mxne import (
     _top_violators,
 )
 from bsmx.oracle import solve_proximal_gradient
-from bsmx.prox import BlockStepSizes, group_soft_threshold
+from bsmx.prox import group_soft_threshold
 
 from helpers import dense_primal, make_instance, orthonormal_design
 
@@ -179,8 +179,7 @@ def test_solve_bcd_zero_when_lambda_large():
     rng = np.random.default_rng(13)
     m, g, _ = make_instance(rng)
     lam = 1.1 * lambda_max(m, g)
-    mu = BlockStepSizes.from_design(g)
-    est, trace = solve_bcd(m, g, None, mu, lam, 1e-8)
+    est, trace = solve_bcd(m, g, None, lam, 1e-8)
     assert est.n_active == 0
     assert trace.final.gap < 1e-8
 
@@ -191,8 +190,7 @@ def test_solve_bcd_orthogonal_design_single_sweep():
     m = Measurements(rng.standard_normal((15, 4)))
     corr = g.entries.T @ m.entries
     lam = 0.5 * lambda_max(m, g)
-    mu = BlockStepSizes.from_design(g)
-    est, trace = solve_bcd(m, g, None, mu, lam, 1e-12)
+    est, trace = solve_bcd(m, g, None, lam, 1e-12)
     # closed form: blockwise prox of G^T M
     for s in range(6):
         expected = group_soft_threshold(corr[s * 2:(s + 1) * 2], lam)
@@ -211,8 +209,7 @@ def test_solve_bcd_matches_proximal_gradient():
     m, g, _ = make_instance(rng, n_sensors=20, n_locations=30, n_orient=3,
                             n_times=10, noise=0.2)
     lam = 0.4 * lambda_max(m, g)
-    mu = BlockStepSizes.from_design(g)
-    est, _ = solve_bcd(m, g, None, mu, lam, 1e-6)
+    est, _ = solve_bcd(m, g, None, lam, 1e-6)
     oracle = solve_proximal_gradient(m, g, lam, 1e-6)
     p_bcd = primal_objective(m, g, est, lam)
     p_pgd = primal_objective(m, g, oracle, lam)
@@ -223,8 +220,7 @@ def test_solve_bcd_monotone_descent():
     rng = np.random.default_rng(16)
     m, g, _ = make_instance(rng, noise=0.3)
     lam = 0.3 * lambda_max(m, g)
-    mu = BlockStepSizes.from_design(g)
-    _, trace = solve_bcd(m, g, None, mu, lam, 1e-10)
+    _, trace = solve_bcd(m, g, None, lam, 1e-10)
     primals = [row.primal for row in trace.rows]
     for prev, cur in zip(primals, primals[1:]):
         assert cur <= prev + 1e-12 * abs(prev)
@@ -237,8 +233,7 @@ def test_solve_bcd_gap_upper_bounds_suboptimality():
     # near-exact optimum from the reference solver
     star = solve_proximal_gradient(m, g, lam, 1e-12)
     p_star = primal_objective(m, g, star, lam)
-    mu = BlockStepSizes.from_design(g)
-    _, trace = solve_bcd(m, g, None, mu, lam, 1e-8)
+    _, trace = solve_bcd(m, g, None, lam, 1e-8)
     for row in trace.rows:
         assert row.gap >= -1e-10
         assert row.primal - p_star <= row.gap + 1e-10
@@ -248,9 +243,8 @@ def test_solve_bcd_respects_candidates():
     rng = np.random.default_rng(18)
     m, g, _ = make_instance(rng)
     lam = 0.2 * lambda_max(m, g)
-    mu = BlockStepSizes.from_design(g)
     cand = [0, 5, 7]
-    est, _ = solve_bcd(m, g, None, mu, lam, 1e-8, candidates=cand)
+    est, _ = solve_bcd(m, g, None, lam, 1e-8, candidates=cand)
     assert set(est.active_set) <= set(cand)
 
 
@@ -258,22 +252,39 @@ def test_solve_bcd_warm_start_outside_candidates_rejected():
     rng = np.random.default_rng(19)
     m, g, _ = make_instance(rng)
     lam = 0.2 * lambda_max(m, g)
-    mu = BlockStepSizes.from_design(g)
     init = BlockSparseEstimate.from_blocks(
         [(1, np.ones((g.n_orient, m.n_times)))],
         g.n_locations, g.n_orient, m.n_times,
     )
     with pytest.raises(ValueError, match="candidate"):
-        solve_bcd(m, g, init, mu, lam, 1e-8, candidates=[0, 2])
+        solve_bcd(m, g, init, lam, 1e-8, candidates=[0, 2])
+
+
+def test_solve_bcd_rejects_degenerate_candidate_block():
+    rng = np.random.default_rng(29)
+    n, s, o, t = 12, 8, 2, 5
+    raw = rng.standard_normal((n, s * o))
+    raw[:, 3 * o:4 * o] = 0.0
+    g = BlockDesign(raw, s, o)
+    m = Measurements(rng.standard_normal((n, t)))
+    lam = 0.2 * lambda_max(m, g)
+    # the step length 1 / L_3 of an all-zero block is undefined
+    for cand in (None, [1, 3, 5]):
+        with pytest.raises(ValueError,
+                           match="degenerate design block at location 3"):
+            solve_bcd(m, g, None, lam, 1e-8, candidates=cand)
+    others = [k for k in range(s) if k != 3]
+    est, trace = solve_bcd(m, g, None, lam, 1e-10, candidates=others)
+    assert trace.final.gap < 1e-10
+    assert est.n_active > 0 and 3 not in est.active_set
 
 
 def test_solve_bcd_iteration_cap_carries_state():
     rng = np.random.default_rng(20)
     m, g, _ = make_instance(rng, noise=0.3)
     lam = 0.1 * lambda_max(m, g)
-    mu = BlockStepSizes.from_design(g)
     with pytest.raises(IterationLimitError) as excinfo:
-        solve_bcd(m, g, None, mu, lam, 1e-14, max_iter=1)
+        solve_bcd(m, g, None, lam, 1e-14, max_iter=1)
     err = excinfo.value
     assert err.estimate is not None
     assert err.gap is not None and err.gap > 1e-14
@@ -309,13 +320,12 @@ def test_solve_bcd_extrapolation_saves_sweeps(monkeypatch):
     for seed in range(3):
         rng = np.random.default_rng(400 + seed)
         m, g, lam = _correlated_instance(rng)
-        mu = BlockStepSizes.from_design(g)
-        _, accelerated = solve_bcd(m, g, None, mu, lam, 1e-10,
+        _, accelerated = solve_bcd(m, g, None, lam, 1e-10,
                                    max_iter=max_iter)
         with monkeypatch.context() as patch:
             # a window longer than the cap never fills: plain sweeps only
             patch.setattr(bsmx.mxne, "_ANDERSON_K", max_iter + 1)
-            _, plain = solve_bcd(m, g, None, mu, lam, 1e-10,
+            _, plain = solve_bcd(m, g, None, lam, 1e-10,
                                  max_iter=max_iter)
         assert len(accelerated) < len(plain)
 
@@ -326,10 +336,9 @@ def test_solve_bcd_extrapolated_solution_meets_kkt():
     for seed in range(3):
         rng = np.random.default_rng(410 + seed)
         m, g, lam = _correlated_instance(rng)
-        mu = BlockStepSizes.from_design(g)
-        coarse, _ = solve_bcd(m, g, None, mu, lam, 1e-2)
+        coarse, _ = solve_bcd(m, g, None, lam, 1e-2)
         for init in (None, coarse):
-            est, trace = solve_bcd(m, g, init, mu, lam, 1e-10)
+            est, trace = solve_bcd(m, g, init, lam, 1e-10)
             assert trace.final.gap < 1e-10
             corr = g.entries.T @ residual(m, g, est)
             o = g.n_orient
@@ -365,10 +374,9 @@ def test_solve_bcd_trace_has_one_row_per_sweep_plus_one():
     instances += [_correlated_instance(np.random.default_rng(420 + seed))
                   for seed in range(5)]
     for m, g, lam in instances:
-        mu = BlockStepSizes.from_design(g)
         trace = ConvergenceTrace()
         trace.add(1.0, 0, 1.0, 0.0)
-        _, trace = solve_bcd(m, g, None, mu, lam, 1e-10, trace=trace)
+        _, trace = solve_bcd(m, g, None, lam, 1e-10, trace=trace)
         sweeps = len(trace) - 2
         assert sweeps > 2 * k
         # an extrapolated point is kept only if it lowers the primal
@@ -380,7 +388,7 @@ def test_solve_bcd_trace_has_one_row_per_sweep_plus_one():
         for cap in (1, k - 1, k, k + 1, 2 * k, sweeps - 1):
             capped = ConvergenceTrace()
             with pytest.raises(IterationLimitError):
-                solve_bcd(m, g, None, mu, lam, 1e-10, max_iter=cap,
+                solve_bcd(m, g, None, lam, 1e-10, max_iter=cap,
                           trace=capped)
             assert len(capped) == cap + 1
 
@@ -439,8 +447,8 @@ def _record_inner_solves(monkeypatch):
     calls = []
     inner = bsmx.mxne.solve_bcd
 
-    def recording(m, g, init, mu, lam, gap_tol, **kwargs):
-        est, trace = inner(m, g, init, mu, lam, gap_tol, **kwargs)
+    def recording(m, g, init, lam, gap_tol, **kwargs):
+        est, trace = inner(m, g, init, lam, gap_tol, **kwargs)
         calls.append((sorted(kwargs["candidates"]), gap_tol, est))
         return est, trace
 
@@ -507,8 +515,7 @@ def test_solve_active_set_matches_full_bcd(monkeypatch):
         config = SolverConfig(lam=lam, active_batch=3)
         calls = _record_inner_solves(monkeypatch)
         est_as, trace_as = solve_active_set(m, g, None, lam, config)
-        mu = BlockStepSizes.from_design(g)
-        est_full, _ = solve_bcd(m, g, None, mu, lam, config.gap_tol)
+        est_full, _ = solve_bcd(m, g, None, lam, config.gap_tol)
         p_as = primal_objective(m, g, est_as, lam)
         p_full = primal_objective(m, g, est_full, lam)
         assert abs(p_as - p_full) <= 1e-6
@@ -578,9 +585,14 @@ def test_solve_active_set_excludes_zero_blocks():
     g = BlockDesign(raw, s, o)
     m = Measurements(rng.standard_normal((n, t)))
     lam = 0.2 * lambda_max(m, g)
-    with pytest.warns(RuntimeWarning, match="all-zero design blocks"):
-        est, _ = solve_active_set(m, g, None, lam, SolverConfig(lam=lam))
-    assert 3 not in est.active_set
+    # a warm-start block at the zero location is dropped, not passed on
+    warm = BlockSparseEstimate.from_blocks(
+        [(3, np.ones((o, t))), (5, np.ones((o, t)))], s, o, t,
+    )
+    for init in (None, warm):
+        with pytest.warns(RuntimeWarning, match="all-zero design blocks"):
+            est, _ = solve_active_set(m, g, init, lam, SolverConfig(lam=lam))
+        assert 3 not in est.active_set
 
 
 def test_support_optimality_certificates():

@@ -3,7 +3,6 @@ import pytest
 
 from bsmx.model import BlockDesign
 from bsmx.prox import (
-    BlockStepSizes,
     block_lipschitz,
     block_lipschitz_all,
     group_soft_threshold,
@@ -58,28 +57,6 @@ def test_block_lipschitz_all_flags_zero_blocks():
     lips = block_lipschitz_all(design)
     assert lips[1] == 0.0
     assert lips[0] > 0 and lips[2] > 0
-
-
-def test_step_sizes_from_design():
-    rng = np.random.default_rng(4)
-    raw = rng.standard_normal((10, 12))
-    design = BlockDesign(raw, 4, 3)
-    steps = BlockStepSizes.from_design(design)
-    assert len(steps) == 4
-    assert np.all(steps.mu > 0)
-    for s in range(4):
-        assert steps.mu[s] == pytest.approx(
-            1.0 / block_lipschitz(design.block(s)), rel=1e-12
-        )
-
-
-def test_step_sizes_reject_degenerate_design():
-    raw = np.ones((4, 6))
-    raw[:, 0:2] = 0.0
-    with pytest.raises(ValueError, match="degenerate design block"):
-        BlockStepSizes.from_design(BlockDesign(raw, 3, 2))
-    with pytest.raises(ValueError):
-        BlockStepSizes(np.array([1.0, 0.0]))
 
 
 def test_group_soft_threshold_inside_ball_is_bitwise_zero():

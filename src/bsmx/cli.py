@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -219,27 +219,51 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _simulate_task(payload: dict) -> List[dict]:
-    """One (seed, lambda) cell of the study; scenarios are deterministic
-    per seed, so regenerating inside each task is safe."""
-    spec = ScenarioSpec(**payload["scenario"], rng_seed=payload["seed"])
+def _simulate_task(payload: dict) -> Tuple[List[dict], Optional[dict]]:
+    """One seed of the study: its scenario is drawn once and shared by
+    every lambda and method, and by the stability pass when the payload
+    asks for one. Returns the metric rows and the stability entries (None
+    when no pass ran)."""
+    seed = payload["seed"]
+    spec = ScenarioSpec(**payload["scenario"], rng_seed=seed)
     scenario = generate_scenario(spec)
-    config = payload["config"]
     rows = []
+    for pct, config in payload["lambdas"]:
+        for method in payload["methods"]:
+            est = solve_with_method(scenario.m_avg, scenario.design, config,
+                                    method)
+            est_deb = None
+            if payload["debias"] and est.n_active > 0:
+                scaling = estimate_scaling(scenario.m_avg, scenario.design, est)
+                est_deb = apply_scaling(est, scaling)
+            report = evaluate(scenario, est, est_deb)
+            rows.append({
+                "seed": seed,
+                "lambda_pct": float(pct),
+                "method": method,
+                **report.as_dict(),
+            })
+
+    if not payload["resamples"]:
+        return rows, None
+    stability = {}
     for method in payload["methods"]:
-        est = solve_with_method(scenario.m_avg, scenario.design, config, method)
-        est_deb = None
-        if payload["debias"] and est.n_active > 0:
-            scaling = estimate_scaling(scenario.m_avg, scenario.design, est)
-            est_deb = apply_scaling(est, scaling)
-        report = evaluate(scenario, est, est_deb)
-        rows.append({
-            "seed": payload["seed"],
-            "lambda_pct": payload["lambda_pct"],
-            "method": method,
-            **report.as_dict(),
-        })
-    return rows
+        stability[method] = {}
+        for pct, config in payload["lambdas"]:
+            report = resample_stability(
+                scenario,
+                payload["resample_fraction"],
+                payload["resamples"],
+                config,
+                method=method,
+                rng_seed=seed,
+            )
+            stability[method][str(pct)] = report.to_dict()
+            log.info(
+                "stability method=%s lambda_pct=%s alpha=%.3f",
+                method, pct, report.krippendorff_alpha,
+            )
+    return rows, stability
 
 
 def cmd_simulate(args) -> int:
@@ -266,17 +290,21 @@ def cmd_simulate(args) -> int:
         pct: _solver_config(opts, float(pct) / 100.0, lam_is_fraction=True)
         for pct in lambda_pcts
     }
+    # a count below one runs no stability pass
+    n_resamples = max(int(opts.get("resamples", 0) or 0), 0)
+    fraction = float(opts.get("resample_fraction", 0.8)) if n_resamples else None
+    # stability is assessed on the first seed's scenario, inside its task
     payloads = [
         {
             "seed": int(seed),
             "scenario": scenario_params,
-            "lambda_pct": float(pct),
+            "lambdas": [(pct, configs[pct]) for pct in lambda_pcts],
             "methods": list(methods),
             "debias": debias,
-            "config": configs[pct],
+            "resamples": n_resamples if i == 0 else 0,
+            "resample_fraction": fraction,
         }
-        for seed in seeds
-        for pct in lambda_pcts
+        for i, seed in enumerate(seeds)
     ]
 
     os.makedirs(args.out, exist_ok=True)
@@ -286,7 +314,7 @@ def cmd_simulate(args) -> int:
     else:
         results = [_simulate_task(p) for p in payloads]
 
-    rows = [row for batch in results for row in batch]
+    rows = [row for batch, _ in results for row in batch]
     rows.sort(key=lambda r: (r["seed"], r["lambda_pct"], r["method"]))
     columns = ["seed", "lambda_pct", "method", "true_positives",
                "false_positives", "active_set_size", "rmse", "rmse_debiased",
@@ -296,28 +324,8 @@ def cmd_simulate(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
 
-    n_resamples = int(opts.get("resamples", 0) or 0)
-    if n_resamples > 0:
-        # stability is assessed on the first seed's scenario
-        spec = ScenarioSpec(**scenario_params, rng_seed=int(seeds[0]))
-        scenario = generate_scenario(spec)
-        stability = {}
-        for method in methods:
-            stability[method] = {}
-            for pct in lambda_pcts:
-                report = resample_stability(
-                    scenario,
-                    float(opts.get("resample_fraction", 0.8)),
-                    n_resamples,
-                    configs[pct],
-                    method=method,
-                    rng_seed=int(seeds[0]),
-                )
-                stability[method][str(pct)] = report.to_dict()
-                log.info(
-                    "stability method=%s lambda_pct=%s alpha=%.3f",
-                    method, pct, report.krippendorff_alpha,
-                )
+    stability = results[0][1]
+    if stability is not None:
         with open(os.path.join(args.out, "stability.json"), "w") as fh:
             json.dump(stability, fh)
             fh.write("\n")

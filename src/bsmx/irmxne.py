@@ -29,7 +29,12 @@ from .model import (
     _check_paired,
     residual,
 )
-from .mxne import ConvergenceTrace, resolve_lambda, solve_active_set
+from .mxne import (
+    ConvergenceTrace,
+    IterationLimitError,
+    resolve_lambda,
+    solve_active_set,
+)
 
 __all__ = [
     "ReweightState",
@@ -171,6 +176,13 @@ def solve_irmxne(
     The non-convex objective trace is non-increasing up to roundoff: each
     surrogate majorizes the objective at the previous estimate, and the
     inner solver descends monotonically from its warm start.
+
+    Raises
+    ------
+    IterationLimitError
+        If an inner convex solve exceeds its cap. The error's ``state`` is
+        the ``ReweightState`` reached: ``iteration`` counts the completed
+        iterations, and ``weights`` also holds the failed iteration's.
     """
     _check_paired(m, g)
     lam = resolve_lambda(config, m, g)
@@ -180,22 +192,26 @@ def solve_irmxne(
 
     weights = np.ones(g.n_locations)
     state.weights.append(weights)
-    est, _ = solve_active_set(m, g, None, lam, config,
-                              trace=trace, time_origin=t0)
-    state.iteration = 1
-    state.objective_trace.append(nonconvex_objective(m, g, est, lam))
-
-    prev = est
-    for k in range(2, config.max_reweight + 1):
-        weights = compute_weights(prev)
-        state.weights.append(weights)
-        est = _solve_surrogate(m, g, weights, prev, lam, config, trace, t0)
-        state.iteration = k
+    try:
+        est, _ = solve_active_set(m, g, None, lam, config,
+                                  trace=trace, time_origin=t0)
+        state.iteration = 1
         state.objective_trace.append(nonconvex_objective(m, g, est, lam))
-        diff = _max_abs_change(est, prev)
+
         prev = est
-        if diff < config.reweight_tol:
-            state.converged = True
-            break
+        for k in range(2, config.max_reweight + 1):
+            weights = compute_weights(prev)
+            state.weights.append(weights)
+            est = _solve_surrogate(m, g, weights, prev, lam, config, trace, t0)
+            state.iteration = k
+            state.objective_trace.append(nonconvex_objective(m, g, est, lam))
+            diff = _max_abs_change(est, prev)
+            prev = est
+            if diff < config.reweight_tol:
+                state.converged = True
+                break
+    except IterationLimitError as exc:
+        exc.state = state
+        raise
 
     return prev, state, trace

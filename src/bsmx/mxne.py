@@ -57,6 +57,8 @@ class IterationLimitError(RuntimeError):
     """An iteration cap was exceeded before reaching the gap tolerance.
 
     Carries the last iterate and its gap so callers can inspect or resume.
+    When raised out of ``solve_irmxne``, ``state`` holds the reweighting
+    state reached; otherwise it is None.
     """
 
     def __init__(self, message: str, estimate: Optional[BlockSparseEstimate] = None,
@@ -64,6 +66,7 @@ class IterationLimitError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.gap = gap
+        self.state = None
 
 
 @dataclass(frozen=True, repr=False)

@@ -158,13 +158,6 @@ def _pick_separated(rng, positions: np.ndarray, count: int,
     )
 
 
-def _ar_series(rng, coeffs: Sequence[float], n_times: int) -> np.ndarray:
-    e = rng.standard_normal(n_times + _AR_BURN_IN)
-    denom = np.r_[1.0, -np.asarray(coeffs, dtype=float)]
-    series = lfilter([1.0], denom, e)
-    return series[_AR_BURN_IN:]
-
-
 def generate_scenario(spec: ScenarioSpec) -> Scenario:
     """Draw a scenario; bit-identical for identical specs.
 
@@ -175,6 +168,11 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
     AR-filtered white noise. The reported SNR is the energy ratio of the
     noiseless signal to the residual noise in the trial average
     (``inf`` flags a noise-free scenario).
+
+    Each trial takes one ``(n_noise_dipoles, n_times + burn-in)`` normal
+    draw and one filter pass for all of its dipole drives, then its
+    sensor noise. The random stream, and so every output bit, is the same
+    as drawing and filtering one dipole series at a time.
     """
     rng = np.random.default_rng(spec.rng_seed)
     n, s, o, t = spec.n_sensors, spec.n_locations, spec.n_orient, spec.n_times
@@ -223,15 +221,20 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
             signatures.append(design.block(int(loc)) @ orient)
 
     # noise is accumulated apart from the signal so that a noise-free
-    # scenario reproduces the clean signal bitwise after averaging
+    # scenario reproduces the clean signal bitwise after averaging; the
+    # dipole footprints go in dipole order and the sensor noise last, the
+    # summation order of drawing one dipole series at a time
+    denom = np.r_[1.0, -np.asarray(spec.ar_coeffs, dtype=float)]
     noise_parts = np.zeros((spec.n_trials, n, t))
     for k in range(spec.n_trials):
-        for sig in signatures:
-            series = _ar_series(rng, spec.ar_coeffs, t)
-            peak = np.abs(series).max()
-            if peak > 0:
-                series = series * (spec.noise_dipole_amplitude / peak)
-            noise_parts[k] += sig[:, None] * series[None, :]
+        drive = rng.standard_normal((len(signatures), t + _AR_BURN_IN))
+        series = lfilter([1.0], denom, drive, axis=-1)[:, _AR_BURN_IN:]
+        peak = np.abs(series).max(axis=1)
+        scale = np.divide(spec.noise_dipole_amplitude, peak,
+                          out=np.ones_like(peak), where=peak > 0)
+        series *= scale[:, None]
+        for sig, row in zip(signatures, series):
+            noise_parts[k] += sig[:, None] * row[None, :]
         if spec.sensor_noise_std > 0:
             noise_parts[k] += spec.sensor_noise_std * rng.standard_normal((n, t))
     noise_avg = noise_parts.mean(axis=0)

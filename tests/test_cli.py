@@ -218,15 +218,34 @@ def test_simulate_writes_metrics_and_stability(tmp_path):
     assert manifest["rng_seeds"] == [1, 2]
 
 
+def test_simulate_draws_each_scenario_once(tmp_path, monkeypatch):
+    drawn = []
+    generate = cli.generate_scenario
+
+    def counting(spec):
+        drawn.append(spec.rng_seed)
+        return generate(spec)
+
+    monkeypatch.setattr(cli, "generate_scenario", counting)
+    rc = main(["simulate", *SIM_ARGS, "--seed", "1", "--seed", "2",
+               "--lambda-pct", "40", "--lambda-pct", "60",
+               "--method", "mxne", "--method", "irmxne", "--debias",
+               "--resamples", "3", "--jobs", "1",
+               "--out", str(tmp_path / "sim")])
+    assert rc == 0
+    assert drawn == [1, 2]
+
+
 def test_simulate_parallel_matches_serial(tmp_path):
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
     base = ["simulate", *SIM_ARGS, "--seed", "3", "--seed", "4",
-            "--lambda-pct", "50", "--method", "mxne"]
+            "--lambda-pct", "50", "--lambda-pct", "70", "--method", "mxne",
+            "--resamples", "3"]
     assert main([*base, "--jobs", "1", "--out", str(serial)]) == 0
     assert main([*base, "--jobs", "2", "--out", str(parallel)]) == 0
-    assert (serial / "metrics.csv").read_text() == \
-        (parallel / "metrics.csv").read_text()
+    for name in ("metrics.csv", "stability.json"):
+        assert (serial / name).read_text() == (parallel / name).read_text()
 
 
 def test_simulate_generates_seed_when_absent(tmp_path):

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from bsmx import irmxne
 from bsmx.irmxne import (
     _max_abs_change,
     compute_weights,
@@ -14,7 +17,13 @@ from bsmx.model import (
     SolverConfig,
     densify,
 )
-from bsmx.mxne import lambda_max, primal_objective, solve_active_set, solve_bcd
+from bsmx.mxne import (
+    IterationLimitError,
+    lambda_max,
+    primal_objective,
+    solve_active_set,
+    solve_bcd,
+)
 from bsmx.sim import ScenarioSpec, generate_scenario
 
 from helpers import dense_sqrt_objective, make_instance
@@ -223,6 +232,29 @@ def test_irmxne_iteration_cap_not_an_error():
     ).max()
     assert diff == 0.0  # sanity on densify; converged flag tracks the loop
     assert state.converged in (True, False)
+
+
+def test_iteration_limit_carries_reweight_state(monkeypatch):
+    # iteration 1 runs uncapped; every reweight step is capped at one sweep
+    rng = np.random.default_rng(10)
+    m, g, _ = make_instance(rng, noise=0.3)
+    config = SolverConfig(lam=0.3 * lambda_max(m, g))
+    inner = irmxne.solve_active_set
+
+    def capped(m, g, warm, lam, config, **kwargs):
+        if warm is not None:
+            config = dataclasses.replace(config, max_bcd_iter=1)
+        return inner(m, g, warm, lam, config, **kwargs)
+
+    monkeypatch.setattr(irmxne, "solve_active_set", capped)
+    with pytest.raises(IterationLimitError) as info:
+        solve_irmxne(m, g, config)
+    state = info.value.state
+    assert state.iteration == 1
+    assert len(state.objective_trace) == 1
+    assert len(state.weights) == 2
+    assert np.array_equal(state.weights[0], np.ones(g.n_locations))
+    assert not state.converged
 
 
 def test_reweight_state_json(tmp_path):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import uniform_filter1d
+from scipy.signal import lfilter
 
-from bsmx.model import BlockSparseEstimate, SolverConfig, densify
+from bsmx.model import BlockDesign, BlockSparseEstimate, SolverConfig, densify
 from bsmx.sim import (
     ScenarioSpec,
     evaluate,
@@ -14,6 +16,7 @@ from bsmx.sim import (
     resample_stability,
     solve_with_method,
 )
+from bsmx.sim import _AR_BURN_IN, _pick_separated, _unit_sphere_points
 
 SMALL = dict(n_sensors=25, n_locations=60, n_times=20, n_trials=12)
 
@@ -27,6 +30,84 @@ def test_scenario_deterministic_bitwise():
     assert np.array_equal(a.m_avg.entries, b.m_avg.entries)
     assert a.true_support == b.true_support
     assert a.snr == b.snr
+
+
+def _reference_scenario(spec):
+    """Trials, average and SNR of a scenario, drawn with one AR series per
+    trial and background dipole: the per-dipole loop that the batched
+    generator must reproduce bitwise."""
+    rng = np.random.default_rng(spec.rng_seed)
+    n, s, o, t = spec.n_sensors, spec.n_locations, spec.n_orient, spec.n_times
+    raw = rng.standard_normal((n, s * o))
+    if spec.column_smoothing > 0:
+        raw = uniform_filter1d(raw.reshape(n, s, o),
+                               size=2 * spec.column_smoothing + 1, axis=1,
+                               mode="reflect").reshape(n, s * o)
+    raw = raw / np.linalg.norm(raw, axis=0, keepdims=True)
+    design = BlockDesign(raw, s, o)
+    positions = _unit_sphere_points(rng, s)
+    support = _pick_separated(rng, positions, spec.n_true_sources,
+                              spec.min_source_separation)
+    grid = np.arange(t, dtype=float)
+    sigma = spec.pulse_width_fraction * t
+    items = []
+    for loc, amp, frac in zip(support, spec.peak_amplitudes,
+                              spec.peak_fractions):
+        pulse = amp * np.exp(-0.5 * ((grid - frac * (t - 1)) / sigma) ** 2)
+        if o == 1:
+            block = pulse[None, :]
+        else:
+            orient = rng.standard_normal(o)
+            orient /= np.linalg.norm(orient)
+            block = orient[:, None] * pulse[None, :]
+        items.append((int(loc), block))
+    signal = raw @ densify(BlockSparseEstimate.from_blocks(items, s, o, t))
+
+    pool = np.setdiff1d(np.arange(s), support)
+    noise_locs = rng.choice(pool, size=spec.n_noise_dipoles, replace=False) \
+        if spec.n_noise_dipoles else np.empty(0, dtype=int)
+    signatures = []
+    for loc in noise_locs:
+        if o == 1:
+            signatures.append(design.block(int(loc))[:, 0])
+        else:
+            orient = rng.standard_normal(o)
+            orient /= np.linalg.norm(orient)
+            signatures.append(design.block(int(loc)) @ orient)
+
+    denom = np.r_[1.0, -np.asarray(spec.ar_coeffs, dtype=float)]
+    noise_parts = np.zeros((spec.n_trials, n, t))
+    for k in range(spec.n_trials):
+        for sig in signatures:
+            e = rng.standard_normal(t + _AR_BURN_IN)
+            series = lfilter([1.0], denom, e)[_AR_BURN_IN:]
+            peak = np.abs(series).max()
+            if peak > 0:
+                series = series * (spec.noise_dipole_amplitude / peak)
+            noise_parts[k] += sig[:, None] * series[None, :]
+        if spec.sensor_noise_std > 0:
+            noise_parts[k] += spec.sensor_noise_std * rng.standard_normal((n, t))
+    noise_avg = noise_parts.mean(axis=0)
+    noise_energy = float((noise_avg ** 2).sum())
+    snr = math.inf if noise_energy == 0.0 else \
+        float((signal ** 2).sum()) / noise_energy
+    return signal[None, :, :] + noise_parts, signal + noise_avg, snr
+
+
+@pytest.mark.parametrize("params", [
+    dict(n_orient=1),
+    dict(n_orient=3),
+    dict(n_noise_dipoles=0),
+    dict(noise_dipole_amplitude=0.0, sensor_noise_std=0.0),
+], ids=["fixed", "free", "no-dipoles", "noise-free"])
+def test_scenario_matches_per_dipole_reference(params):
+    for seed in (0, 5):
+        spec = ScenarioSpec(**SMALL, **params, rng_seed=seed)
+        scenario = generate_scenario(spec)
+        trials, m_avg, snr = _reference_scenario(spec)
+        assert scenario.trials.tobytes() == trials.tobytes()
+        assert scenario.m_avg.entries.tobytes() == m_avg.tobytes()
+        assert scenario.snr == snr
 
 
 def test_scenario_noise_free_flag():

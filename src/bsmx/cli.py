@@ -46,6 +46,7 @@ from .mxne import (
 )
 from .oracle import solve_proximal_gradient
 from .sim import (
+    MetricsReport,
     ScenarioSpec,
     evaluate,
     generate_scenario,
@@ -108,6 +109,18 @@ class _Options:
         if value is None:
             value = self.cfg.get(key, default)
         self.resolved[key] = value
+        return value
+
+    def get_list(self, key):
+        """A list-valued option, or None if unset. The config file may give
+        one value for a one-element list."""
+        value = self.get(key)
+        if isinstance(value, (str, int, float)):
+            return [value]
+        if value is not None and not isinstance(value, list):
+            raise ValueError(
+                f"option {key!r} must be a value or a list, got {value!r}"
+            )
         return value
 
 
@@ -241,7 +254,7 @@ def _simulate_task(payload: dict) -> Tuple[List[dict], Optional[dict]]:
                 "seed": seed,
                 "lambda_pct": float(pct),
                 "method": method,
-                **report.as_dict(),
+                **asdict(report),
             })
 
     if not payload["resamples"]:
@@ -271,12 +284,12 @@ def cmd_simulate(args) -> int:
     cfg = _load_config_file(args.config)
     opts = _Options(args, cfg)
 
-    seeds = opts.get("seed")
+    seeds = opts.get_list("seed")
     if not seeds:
         seeds = [_fresh_seed()]
         log.info("no seed given; generated %d", seeds[0])
-    lambda_pcts = opts.get("lambda_pct") or [50.0]
-    methods = opts.get("method") or ["mxne"]
+    lambda_pcts = opts.get_list("lambda_pct") or [50.0]
+    methods = opts.get_list("method") or ["mxne"]
     jobs = int(opts.get("jobs") or os.environ.get("BSMX_JOBS", "1"))
 
     spec_defaults = {f.name: f.default for f in fields(ScenarioSpec)}
@@ -316,9 +329,8 @@ def cmd_simulate(args) -> int:
 
     rows = [row for batch, _ in results for row in batch]
     rows.sort(key=lambda r: (r["seed"], r["lambda_pct"], r["method"]))
-    columns = ["seed", "lambda_pct", "method", "true_positives",
-               "false_positives", "active_set_size", "rmse", "rmse_debiased",
-               "gof"]
+    columns = ["seed", "lambda_pct", "method",
+               *(f.name for f in fields(MetricsReport))]
     with open(os.path.join(args.out, "metrics.csv"), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
@@ -380,10 +392,12 @@ def cmd_benchmark(args) -> int:
         noise=0.05,
     )
     lam_top = lambda_max(m, design)
-    lambda_pcts = [float(p) for p in (opts.get("lambda_pct") or
+    lambda_pcts = [float(p) for p in (opts.get_list("lambda_pct") or
                                       [40, 50, 60, 70, 80, 90])]
-    methods = opts.get("methods") or ",".join(BENCH_METHODS)
-    method_list = [name.strip() for name in methods.split(",") if name.strip()]
+    methods = opts.get_list("methods") or list(BENCH_METHODS)
+    # the flag gives one comma-separated string
+    names = [name.strip() for entry in methods for name in entry.split(",")]
+    method_list = [name for name in names if name]
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for pct in lambda_pcts:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BlockDesign, BlockSparseEstimate
+from .model import BlockDesign, BlockSparseEstimate, _unpack
 from .prox import block_lipschitz_all
 
 __all__ = [
@@ -113,9 +113,6 @@ def undo_depth_weights(est: BlockSparseEstimate,
             f"depth weights cover {scale.shape[0]} locations, estimate has "
             f"{est.n_locations}"
         )
-    items = [
-        (s, blk * scale[s]) for s, blk in zip(est.active_set, est.blocks)
-    ]
-    return BlockSparseEstimate.from_blocks(
-        items, est.n_locations, est.n_orient, est.n_times
-    )
+    factors = np.repeat(scale[list(est.active_set)], est.n_orient)
+    return _unpack(est.coef * factors[:, None], est.active_set,
+                   est.n_locations, est.n_orient)

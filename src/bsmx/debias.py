@@ -21,6 +21,7 @@ from .model import (
     BlockSparseEstimate,
     Measurements,
     _check_paired,
+    _unpack,
 )
 
 __all__ = ["ScalingFactors", "estimate_scaling", "apply_scaling"]
@@ -99,10 +100,6 @@ def apply_scaling(est: BlockSparseEstimate,
     """Multiply each active block by its scaling factor; support unchanged."""
     if scaling.active_set != est.active_set:
         raise ValueError("scaling factors do not match the estimate's active set")
-    items = [
-        (s, blk * scaling.d[i])
-        for i, (s, blk) in enumerate(zip(est.active_set, est.blocks))
-    ]
-    return BlockSparseEstimate.from_blocks(
-        items, est.n_locations, est.n_orient, est.n_times
-    )
+    factors = np.repeat(scaling.d, est.n_orient)
+    return _unpack(est.coef * factors[:, None], est.active_set,
+                   est.n_locations, est.n_orient)

@@ -27,6 +27,8 @@ from .model import (
     Measurements,
     SolverConfig,
     _check_paired,
+    _pack,
+    _unpack,
     residual,
 )
 from .mxne import (
@@ -35,6 +37,7 @@ from .mxne import (
     resolve_lambda,
     solve_active_set,
 )
+from .prox import _location_norms
 
 __all__ = [
     "ReweightState",
@@ -80,7 +83,7 @@ def nonconvex_objective(m: Measurements, g: BlockDesign,
     if not lam > 0:
         raise ValueError("lam must be positive")
     r = residual(m, g, est)
-    pen = sum(np.sqrt(np.linalg.norm(b)) for b in est.blocks)
+    pen = np.sqrt(_location_norms(est.coef, est.n_orient)).sum()
     return 0.5 * float((r * r).sum()) + lam * float(pen)
 
 
@@ -91,8 +94,8 @@ def compute_weights(prev: BlockSparseEstimate) -> np.ndarray:
     for inactive ones; no epsilon smoothing is applied.
     """
     w = np.zeros(prev.n_locations)
-    for s, blk in zip(prev.active_set, prev.blocks):
-        w[s] = 2.0 * np.sqrt(np.linalg.norm(blk))
+    w[list(prev.active_set)] = 2.0 * np.sqrt(
+        _location_norms(prev.coef, prev.n_orient))
     return w
 
 
@@ -100,14 +103,13 @@ def _max_abs_change(est: BlockSparseEstimate,
                     prev: BlockSparseEstimate) -> float:
     """Entrywise max-abs of ``densify(est) - densify(prev)``, bitwise.
 
-    Only the union of the two supports is visited: every other entry is
+    Only the union of the two supports is packed: every other entry is
     zero in both, and the difference there is zero.
     """
-    a = dict(zip(est.active_set, est.blocks))
-    b = dict(zip(prev.active_set, prev.blocks))
-    peaks = [np.abs(a.get(s, 0.0) - b.get(s, 0.0)).max()
-             for s in a.keys() | b.keys()]
-    return float(np.max(peaks, initial=0.0))
+    union = np.union1d(est.active_set, prev.active_set)
+    o, t = est.n_orient, est.n_times
+    diff = _pack(est, union, o, t) - _pack(prev, union, o, t)
+    return float(np.abs(diff).max(initial=0.0))
 
 
 def _solve_surrogate(
@@ -138,26 +140,18 @@ def _solve_surrogate(
         g.entries[:, cols] * scale[None, :], len(cand), n_orient
     )
 
-    pos_of = {int(s): j for j, s in enumerate(cand)}
-    warm_items = [
-        (pos_of[s], blk / weights[s])
-        for s, blk in zip(prev.active_set, prev.blocks)
-    ]
-    warm = BlockSparseEstimate.from_blocks(
-        warm_items, len(cand), n_orient, n_times
-    )
+    prev_scale = np.repeat(weights[list(prev.active_set)], n_orient)
+    warm = _unpack(prev.coef / prev_scale[:, None],
+                   np.searchsorted(cand, prev.active_set), len(cand), n_orient)
 
     sub_sol, _ = solve_active_set(
         m, sub_design, warm, lam, config, trace=trace, time_origin=t0
     )
 
-    back = [
-        (int(cand[j]), blk * weights[cand[j]])
-        for j, blk in zip(sub_sol.active_set, sub_sol.blocks)
-    ]
-    return BlockSparseEstimate.from_blocks(
-        back, g.n_locations, n_orient, n_times
-    )
+    back = cand[list(sub_sol.active_set)]
+    back_scale = np.repeat(weights[back], n_orient)
+    return _unpack(sub_sol.coef * back_scale[:, None], back, g.n_locations,
+                   n_orient)
 
 
 def solve_irmxne(

@@ -3,8 +3,8 @@
 A problem couples a sensor-by-source design matrix with a block-column
 structure (one block of ``n_orient`` adjacent columns per source location)
 and a sensor-by-time data matrix, assumed spatially whitened. Estimates
-store only their nonzero blocks, so memory scales with the recovered
-support rather than with the full source space.
+store only their nonzero blocks, packed into one array, so memory scales
+with the recovered support rather than with the full source space.
 
 All types are immutable after construction; arrays are copied and marked
 read-only, so instances can be shared freely across threads.
@@ -12,8 +12,8 @@ read-only, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,53 +116,61 @@ class Measurements:
 
 @dataclass(frozen=True, repr=False)
 class BlockSparseEstimate:
-    """Source coefficients stored as per-location blocks over the support.
+    """Source coefficients of the support, packed into one array.
 
     ``active_set`` lists the locations with a nonzero block, strictly
-    increasing. ``blocks`` is parallel to ``active_set``; each entry is the
-    ``(n_orient, n_times)`` coefficient block of that location. Blocks that
-    are exactly zero are never stored, so the support size is well defined.
-    Use :func:`densify` / :func:`sparsify` to convert to and from the full
-    coefficient matrix.
+    increasing. ``coef`` has shape ``(n_active * n_orient, n_times)``; rows
+    ``i * n_orient:(i + 1) * n_orient`` hold the block of ``active_set[i]``.
+    Blocks that are exactly zero (``.any()`` is False) are never stored, so
+    the support size is well defined. ``blocks`` holds read-only views of
+    the blocks in ``active_set`` order. Use :func:`densify` /
+    :func:`sparsify` to convert to and from the full coefficient matrix.
     """
 
     active_set: Tuple[int, ...]
-    blocks: Tuple[np.ndarray, ...]
+    coef: np.ndarray
     n_locations: int
     n_orient: int
     n_times: int
+    blocks: Tuple[np.ndarray, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.n_locations < 1 or self.n_orient < 1 or self.n_times < 1:
+        n_loc, o, t = self.n_locations, self.n_orient, self.n_times
+        if n_loc < 1 or o < 1 or t < 1:
             raise ValueError("estimate dimensions must be positive")
-        active = tuple(int(s) for s in self.active_set)
-        if len(active) != len(self.blocks):
-            raise ValueError("active_set and blocks must have equal length")
-        if any(b - a <= 0 for a, b in zip(active, active[1:])):
+        active = np.asarray(self.active_set, dtype=int)
+        coef = np.array(self.coef, dtype=float, order="C")
+        if coef.shape != (active.size * o, t):
+            raise ValueError(
+                f"coef has shape {coef.shape}, expected "
+                f"({active.size * o}, {t}) for {active.size} active locations"
+            )
+        if (active[1:] <= active[:-1]).any():
             raise ValueError("active_set must be strictly increasing")
-        if active and (active[0] < 0 or active[-1] >= self.n_locations):
+        if active.size and (active[0] < 0 or active[-1] >= n_loc):
             raise ValueError("active_set indices out of range")
-        frozen = []
-        for s, blk in zip(active, self.blocks):
-            arr = _readonly_matrix(blk, f"block {s}")
-            if arr.shape != (self.n_orient, self.n_times):
-                raise ValueError(
-                    f"block {s} has shape {arr.shape}, expected "
-                    f"({self.n_orient}, {self.n_times})"
-                )
-            if not arr.any():
-                raise ValueError(
-                    f"block {s} is exactly zero; zero blocks must be dropped "
-                    "(use from_blocks)"
-                )
-            frozen.append(arr)
+        rows = coef.reshape(active.size, o * t)
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"block {active[finite.argmin()]} contains non-finite entries"
+            )
+        nonzero = rows.any(axis=1)
+        if not nonzero.all():
+            raise ValueError(
+                f"block {active[nonzero.argmin()]} is exactly zero; zero "
+                "blocks must be dropped (use from_blocks)"
+            )
+        coef.setflags(write=False)
+        active = tuple(active.tolist())
         object.__setattr__(self, "active_set", active)
-        object.__setattr__(self, "blocks", tuple(frozen))
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "blocks", tuple(coef.reshape(-1, o, t)))
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(active)})
 
     @classmethod
     def empty(cls, n_locations: int, n_orient: int, n_times: int) -> "BlockSparseEstimate":
-        return cls((), (), n_locations, n_orient, n_times)
+        return cls((), np.zeros((0, n_times)), n_locations, n_orient, n_times)
 
     @classmethod
     def from_blocks(cls, items, n_locations: int, n_orient: int,
@@ -171,15 +179,17 @@ class BlockSparseEstimate:
 
         Pairs may come in any order; exactly-zero blocks are dropped.
         """
-        pairs = sorted((int(s), np.asarray(b, dtype=float)) for s, b in items)
-        kept = [(s, b) for s, b in pairs if b.any()]
-        return cls(
-            tuple(s for s, _ in kept),
-            tuple(b for _, b in kept),
-            n_locations,
-            n_orient,
-            n_times,
-        )
+        pairs = sorted(((int(s), np.asarray(b, dtype=float)) for s, b in items),
+                       key=lambda pair: pair[0])
+        for s, b in pairs:
+            if b.shape != (n_orient, n_times):
+                raise ValueError(
+                    f"block {s} has shape {b.shape}, expected "
+                    f"({n_orient}, {n_times})"
+                )
+        coef = (np.concatenate([b for _, b in pairs]) if pairs
+                else np.zeros((0, n_times)))
+        return _unpack(coef, [s for s, _ in pairs], n_locations, n_orient)
 
     @property
     def n_active(self) -> int:
@@ -251,13 +261,44 @@ class SolverConfig:
             raise ValueError("max_bcd_iter must be at least 1")
 
 
+def _pack(est: Optional[BlockSparseEstimate], cand: Sequence[int],
+          n_orient: int, n_times: int) -> np.ndarray:
+    """Coefficients of ``est`` in the candidate layout ``(|cand| * O, T)``.
+
+    ``cand`` is strictly increasing; rows ``i*O:(i+1)*O`` hold the block of
+    location ``cand[i]``, zero where ``est`` has none. ``None`` packs to
+    zeros. The support of ``est`` must lie within ``cand``.
+    """
+    x = np.zeros((len(cand) * n_orient, n_times))
+    if est is None or not est.n_active:
+        return x
+    cand = np.asarray(cand, dtype=int)
+    active = np.asarray(est.active_set)
+    pos = np.searchsorted(cand, active)
+    # a location past the last candidate meets the -1 sentinel
+    outside = active[np.append(cand, -1)[pos] != active]
+    if outside.size:
+        raise ValueError(
+            f"warm-start location {outside[0]} is outside the candidate set"
+        )
+    x.reshape(cand.size, n_orient * n_times)[pos] = \
+        est.coef.reshape(est.n_active, n_orient * n_times)
+    return x
+
+
+def _unpack(x: np.ndarray, cand: Sequence[int], n_locations: int,
+            n_orient: int) -> BlockSparseEstimate:
+    """Inverse of :func:`_pack`; exactly-zero blocks are dropped."""
+    nonzero = x.reshape(-1, n_orient * x.shape[1]).any(axis=1)
+    return BlockSparseEstimate(
+        np.asarray(cand, dtype=int)[nonzero], x[np.repeat(nonzero, n_orient)],
+        n_locations, n_orient, x.shape[1],
+    )
+
+
 def densify(est: BlockSparseEstimate) -> np.ndarray:
     """Expand an estimate to the full (n_locations * n_orient, n_times) matrix."""
-    out = np.zeros((est.n_locations * est.n_orient, est.n_times))
-    o = est.n_orient
-    for s, blk in zip(est.active_set, est.blocks):
-        out[s * o:(s + 1) * o] = blk
-    return out
+    return _pack(est, np.arange(est.n_locations), est.n_orient, est.n_times)
 
 
 def sparsify(x: np.ndarray, n_orient: int) -> BlockSparseEstimate:
@@ -274,12 +315,7 @@ def sparsify(x: np.ndarray, n_orient: int) -> BlockSparseEstimate:
             f"row count {x.shape[0]} is not a multiple of n_orient={n_orient}"
         )
     n_locations = x.shape[0] // n_orient
-    items = []
-    for s in range(n_locations):
-        blk = x[s * n_orient:(s + 1) * n_orient]
-        if blk.any():
-            items.append((s, blk))
-    return BlockSparseEstimate.from_blocks(items, n_locations, n_orient, x.shape[1])
+    return _unpack(x, np.arange(n_locations), n_locations, n_orient)
 
 
 def _check_paired(m: Measurements, g: BlockDesign, est: Optional[BlockSparseEstimate] = None):
@@ -300,15 +336,17 @@ def _check_paired(m: Measurements, g: BlockDesign, est: Optional[BlockSparseEsti
             )
 
 
+def _forward(g: BlockDesign, est: BlockSparseEstimate) -> np.ndarray:
+    """``G X``, from the design columns of the support only."""
+    return g.entries[:, g.column_indices(est.active_set)] @ est.coef
+
+
 def residual(m: Measurements, g: BlockDesign, est: BlockSparseEstimate) -> np.ndarray:
-    """Data-fit residual, accumulated over active blocks only.
+    """Data-fit residual ``M - G X``, over the support only.
 
     Equals the dense residual of the densified estimate to machine
     precision, at a cost proportional to the support size rather than to
     the number of locations.
     """
     _check_paired(m, g, est)
-    out = m.entries.copy()
-    for s, blk in zip(est.active_set, est.blocks):
-        out -= g.block(s) @ blk
-    return out
+    return m.entries - _forward(g, est)

@@ -27,6 +27,8 @@ from .model import (
     Measurements,
     SolverConfig,
     _check_paired,
+    _pack,
+    _unpack,
     residual,
 )
 from .prox import _location_norms, block_lipschitz_all
@@ -142,36 +144,6 @@ def _lam_vector(lam: Union[float, np.ndarray], n_locations: int) -> np.ndarray:
     return arr
 
 
-def _pack(est: Optional[BlockSparseEstimate], cand: Sequence[int],
-          n_orient: int, n_times: int) -> np.ndarray:
-    """Coefficients of ``est`` in the contiguous ``(|cand| * O, T)`` layout.
-
-    Rows ``i*O:(i+1)*O`` hold the block of location ``cand[i]``; ``None``
-    packs to zeros. The support of ``est`` must lie within ``cand``.
-    """
-    x = np.zeros((len(cand) * n_orient, n_times))
-    if est is not None:
-        position = {int(s): i for i, s in enumerate(cand)}
-        for s, blk in zip(est.active_set, est.blocks):
-            if s not in position:
-                raise ValueError(
-                    f"warm-start location {s} is outside the candidate set"
-                )
-            i = position[s]
-            x[i * n_orient:(i + 1) * n_orient] = blk
-    return x
-
-
-def _unpack(x: np.ndarray, cand: Sequence[int], n_locations: int,
-            n_orient: int) -> BlockSparseEstimate:
-    """Inverse of :func:`_pack`; exactly-zero blocks are dropped."""
-    return BlockSparseEstimate.from_blocks(
-        ((int(s), x[i * n_orient:(i + 1) * n_orient])
-         for i, s in enumerate(cand)),
-        n_locations, n_orient, x.shape[1],
-    )
-
-
 def _primal(r: np.ndarray, coef: np.ndarray, lam_vec: np.ndarray,
             n_orient: int) -> float:
     """Primal objective from a residual and packed coefficients."""
@@ -190,19 +162,12 @@ def _scaled_dual(r: np.ndarray, gt: np.ndarray, lam_vec: np.ndarray,
     return r / max(float((norms / lam_vec).max()), 1.0), norms
 
 
-def _penalty(est: BlockSparseEstimate, lam_vec: np.ndarray) -> float:
-    return float(
-        sum(lam_vec[s] * np.linalg.norm(b)
-            for s, b in zip(est.active_set, est.blocks))
-    )
-
-
 def primal_objective(m: Measurements, g: BlockDesign, est: BlockSparseEstimate,
                      lam: Union[float, np.ndarray]) -> float:
     """Value of ``0.5 * ||M - G X||_Fro^2 + sum_s lam_s ||X_s||_Fro``."""
     lam_vec = _lam_vector(lam, g.n_locations)
     r = residual(m, g, est)
-    return 0.5 * float((r * r).sum()) + _penalty(est, lam_vec)
+    return _primal(r, est.coef, lam_vec[list(est.active_set)], g.n_orient)
 
 
 def dual_map(residual_tilde: np.ndarray, g: BlockDesign,
@@ -243,7 +208,7 @@ def _gap_and_scores(
     """
     r = residual(m, g, est)
     y, norms = _scaled_dual(r, g.entries.T, lam_vec, g.n_orient)
-    primal = 0.5 * float((r * r).sum()) + _penalty(est, lam_vec)
+    primal = _primal(r, est.coef, lam_vec[list(est.active_set)], g.n_orient)
     dual = dual_objective(m, y)
     report = GapReport(primal=primal, dual=dual, gap=primal - dual,
                        feasible_dual=y)
@@ -379,7 +344,7 @@ def solve_bcd(
     steps = 1.0 / lips
 
     x = _pack(init, cand, n_orient, n_times)
-    active = (_location_norms(x, n_orient) > 0).tolist()
+    active = x.reshape(n_cand, -1).any(axis=1).tolist()
     lam_cand = lam_vec[cand]
     x_flat = x.reshape(-1)
     # row 0: iterate at the start of the window; row k: change of sweep k
@@ -442,7 +407,7 @@ def solve_bcd(
                 if accepted is not None:
                     x_e, r = accepted
                     x[...] = x_e
-                    active = (_location_norms(x, n_orient) > 0).tolist()
+                    active = x.reshape(n_cand, -1).any(axis=1).tolist()
             history[0] = x_flat
         history[k + 1] = x_flat
         for i, g_s_t, g_s, x_s, step, thr in sweep_args:
@@ -560,10 +525,10 @@ def solve_active_set(
     if warm is None:
         est = BlockSparseEstimate.empty(n_loc, n_orient, n_times)
     else:
-        kept = [
-            (s, b) for s, b in zip(warm.active_set, warm.blocks) if valid[s]
-        ]
-        est = BlockSparseEstimate.from_blocks(kept, n_loc, n_orient, n_times)
+        # blocks of excluded locations are scaled to zero and dropped
+        keep = np.repeat(valid[list(warm.active_set)], n_orient)
+        est = _unpack(warm.coef * keep[:, None], warm.active_set, n_loc,
+                      n_orient)
 
     if trace is None:
         trace = ConvergenceTrace()

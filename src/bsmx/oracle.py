@@ -18,14 +18,14 @@ from .model import (
     BlockSparseEstimate,
     Measurements,
     _check_paired,
+    _pack,
+    _unpack,
 )
 from .mxne import (
     IterationLimitError,
     _lam_vector,
-    _pack,
     _primal,
     _scaled_dual,
-    _unpack,
     dual_objective,
 )
 from .prox import prox_blocks

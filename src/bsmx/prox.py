@@ -16,7 +16,7 @@ __all__ = [
 
 def _location_norms(flat: np.ndarray, n_orient: int) -> np.ndarray:
     """Frobenius norm per location block of a (S*O, T) matrix."""
-    rows = flat.reshape(flat.shape[0] // n_orient, -1)
+    rows = flat.reshape(-1, n_orient * flat.shape[1])
     # einsum squares and sums in one pass, without an S*O*T temporary
     return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 

@@ -11,7 +11,6 @@ stability across trial resamples measured by Krippendorff's alpha.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -25,6 +24,8 @@ from .model import (
     BlockSparseEstimate,
     Measurements,
     SolverConfig,
+    _check_paired,
+    _forward,
     densify,
     residual,
 )
@@ -296,16 +297,6 @@ class MetricsReport:
     rmse_debiased: float
     gof: float
 
-    def as_dict(self) -> dict:
-        return {
-            "true_positives": self.true_positives,
-            "false_positives": self.false_positives,
-            "active_set_size": self.active_set_size,
-            "rmse": self.rmse,
-            "rmse_debiased": self.rmse_debiased,
-            "gof": self.gof,
-        }
-
 
 def goodness_of_fit(m: Measurements, g: BlockDesign,
                     est: BlockSparseEstimate) -> float:
@@ -339,10 +330,11 @@ def evaluate(scenario: Scenario, est: BlockSparseEstimate,
             tp += 1
     fp = est.n_active - tp
 
-    signal = g.entries @ densify(scenario.x_true)
+    signal = _forward(g, scenario.x_true)
 
     def rmse_of(e):
-        return float(np.linalg.norm(signal - g.entries @ densify(e)))
+        _check_paired(scenario.m_avg, g, e)
+        return float(np.linalg.norm(signal - _forward(g, e)))
 
     return MetricsReport(
         true_positives=tp,
@@ -401,11 +393,6 @@ class StabilityReport:
             "selection_probability": self.selection_probability.tolist(),
             "selection_matrix": self.selection_matrix.astype(int).tolist(),
         }
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
 
     def __repr__(self):
         return (

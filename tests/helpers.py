@@ -22,14 +22,18 @@ def make_instance(rng, n_sensors=20, n_locations=40, n_orient=3, n_times=10,
 
 
 def dense_primal(m, g, est, lam):
-    """Mixed-norm objective recomputed with dense arithmetic only."""
+    """Mixed-norm objective recomputed with dense arithmetic only.
+
+    ``lam`` is a scalar or a per-location vector.
+    """
     x = densify(est)
     r = m.entries - g.entries @ x
     o = g.n_orient
+    lam_vec = np.broadcast_to(np.asarray(lam, dtype=float), (g.n_locations,))
     pen = 0.0
     for s in range(g.n_locations):
-        pen += np.sqrt((x[s * o:(s + 1) * o] ** 2).sum())
-    return 0.5 * (r ** 2).sum() + lam * pen
+        pen += lam_vec[s] * np.sqrt((x[s * o:(s + 1) * o] ** 2).sum())
+    return 0.5 * (r ** 2).sum() + pen
 
 
 def dense_sqrt_objective(m, g, est, lam):

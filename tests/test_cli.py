@@ -218,6 +218,36 @@ def test_simulate_writes_metrics_and_stability(tmp_path):
     assert manifest["rng_seeds"] == [1, 2]
 
 
+@pytest.mark.parametrize("key, value, column, expected", [
+    ("lambda_pct", 30, "lambda_pct", "30.0"),
+    ("seed", 3, "seed", "3"),
+    ("method", "irmxne", "method", "irmxne"),
+])
+def test_simulate_config_value_is_one_element_list(tmp_path, key, value,
+                                                   column, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    flags = {"seed": ["--seed", "1"], "lambda_pct": ["--lambda-pct", "50"],
+             "method": ["--method", "mxne"]}
+    flags.pop(key)
+    out = tmp_path / "sim"
+    rc = main(["simulate", *SIM_ARGS, *sum(flags.values(), []),
+               "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    with open(out / "metrics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row[column] for row in rows] == [expected]
+
+
+def test_simulate_config_rejects_other_types(tmp_path, caplog):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda_pct": {"value": 30}}))
+    rc = main(["simulate", *SIM_ARGS, "--seed", "1", "--method", "mxne",
+               "--config", str(cfg), "--out", str(tmp_path / "sim")])
+    assert rc == 2
+    assert "'lambda_pct'" in caplog.text
+
+
 def test_simulate_draws_each_scenario_once(tmp_path, monkeypatch):
     drawn = []
     generate = cli.generate_scenario
@@ -310,3 +340,16 @@ def test_benchmark_honours_active_batch(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["active_batch"] == 50
     assert batches == [50]
+
+
+def test_benchmark_config_lists_methods(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"methods": ["bcd_as", "pgd_as"]}))
+    out = tmp_path / "bench"
+    rc = main(["benchmark", "--seed", "5", "--n-sensors", "20",
+               "--n-locations", "40", "--n-orient", "1", "--n-times", "5",
+               "--lambda-pct", "50", "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    with open(out / "timings.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["method"] for row in rows] == ["bcd_as", "pgd_as"]

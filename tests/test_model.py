@@ -6,6 +6,8 @@ from bsmx.model import (
     BlockSparseEstimate,
     Measurements,
     SolverConfig,
+    _pack,
+    _unpack,
     densify,
     residual,
     sparsify,
@@ -38,6 +40,45 @@ def test_densify_sparsify_round_trip():
         est = sparsify(x, o)
         assert np.array_equal(densify(est), x)
         assert all(x[s_ * o:(s_ + 1) * o].any() for s_ in est.active_set)
+
+
+def test_pack_unpack_round_trip():
+    rng = np.random.default_rng(7)
+    for o in (1, 3):
+        for n_active in (0, 1, 2, 5):
+            s, t = 30, int(rng.integers(1, 6))
+            cand = np.sort(rng.choice(s, size=int(rng.integers(5, 15)),
+                                      replace=False))
+            support = rng.choice(cand, size=n_active, replace=False)
+            est = BlockSparseEstimate.from_blocks(
+                [(loc, rng.standard_normal((o, t))) for loc in support],
+                s, o, t)
+            x = _pack(est, cand, o, t)
+            assert x.shape == (cand.size * o, t)
+            for i, loc in enumerate(cand):
+                blk = est.block_for(int(loc))
+                expected = np.zeros((o, t)) if blk is None else blk
+                assert np.array_equal(x[i * o:(i + 1) * o], expected)
+            back = _unpack(x, cand, s, o)
+            assert back.active_set == est.active_set
+            assert back.coef.tobytes() == est.coef.tobytes()
+
+
+def test_pack_rejects_support_outside_candidates():
+    est = BlockSparseEstimate.from_blocks([(3, np.ones((1, 2)))], 5, 1, 2)
+    with pytest.raises(ValueError, match="outside the candidate set"):
+        _pack(est, [0, 1, 4], 1, 2)
+
+
+def test_underflowing_block_stays_active():
+    # the Frobenius norm of this block underflows to 0; its entries do not
+    tiny = np.full((3, 2), 1e-200)
+    assert np.linalg.norm(tiny) == 0.0
+    est = BlockSparseEstimate.from_blocks([(1, tiny)], 4, 3, 2)
+    assert est.active_set == (1,)
+    cand = [0, 1, 3]
+    assert _unpack(_pack(est, cand, 3, 2), cand, 4, 3).active_set == (1,)
+    assert sparsify(densify(est), 3).active_set == (1,)
 
 
 def test_sparsify_rejects_bad_shapes():
@@ -104,17 +145,16 @@ def test_measurements_validation():
 
 
 def test_estimate_validation():
-    blk = np.ones((2, 3))
     with pytest.raises(ValueError, match="strictly increasing"):
-        BlockSparseEstimate((1, 1), (blk, blk), 4, 2, 3)
+        BlockSparseEstimate((1, 1), np.ones((4, 3)), 4, 2, 3)
     with pytest.raises(ValueError, match="strictly increasing"):
-        BlockSparseEstimate((2, 1), (blk, blk), 4, 2, 3)
+        BlockSparseEstimate((2, 1), np.ones((4, 3)), 4, 2, 3)
     with pytest.raises(ValueError, match="out of range"):
-        BlockSparseEstimate((5,), (blk,), 4, 2, 3)
+        BlockSparseEstimate((5,), np.ones((2, 3)), 4, 2, 3)
     with pytest.raises(ValueError, match="shape"):
-        BlockSparseEstimate((0,), (np.ones((3, 3)),), 4, 2, 3)
+        BlockSparseEstimate((0,), np.ones((3, 3)), 4, 2, 3)
     with pytest.raises(ValueError, match="zero"):
-        BlockSparseEstimate((0,), (np.zeros((2, 3)),), 4, 2, 3)
+        BlockSparseEstimate((0,), np.zeros((2, 3)), 4, 2, 3)
 
 
 def test_from_blocks_drops_zero_blocks_and_sorts():
@@ -135,6 +175,8 @@ def test_types_are_immutable():
         m.entries[0, 0] = 1.0
     with pytest.raises(ValueError):
         truth.blocks[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        truth.coef[0, 0] = 1.0
 
 
 def test_single_time_sample_supported():

@@ -52,12 +52,20 @@ def test_primal_single_block_zero_data():
 
 
 def test_primal_matches_dense_oracle():
+    # scalar and per-location lam, O=3 and O=1, planted and empty estimates
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        m, g, truth = make_instance(rng, noise=0.3)
+    for i in range(10):
+        m, g, truth = make_instance(rng, n_orient=3 if i % 2 else 1,
+                                    noise=0.3)
+        empty = BlockSparseEstimate.empty(g.n_locations, g.n_orient,
+                                          m.n_times)
         lam = float(rng.uniform(0.1, 2.0))
-        got = primal_objective(m, g, truth, lam)
-        assert got == pytest.approx(dense_primal(m, g, truth, lam), rel=1e-12)
+        lam_vec = rng.uniform(0.1, 2.0, g.n_locations)
+        for est in (truth, empty):
+            for weight in (lam, lam_vec):
+                got = primal_objective(m, g, est, weight)
+                assert got == pytest.approx(dense_primal(m, g, est, weight),
+                                            rel=1e-12)
 
 
 def test_dual_map_zero_residual():

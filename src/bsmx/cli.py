@@ -111,16 +111,30 @@ class _Options:
         self.resolved[key] = value
         return value
 
-    def get_list(self, key):
+    def get_list(self, key, kind):
         """A list-valued option, or None if unset. The config file may give
-        one value for a one-element list."""
+        one value for a one-element list. Every element must be a scalar
+        that ``kind`` (``int``, ``float`` or ``str``) accepts; the elements
+        are returned as given."""
         value = self.get(key)
+        if value is None:
+            return None
         if isinstance(value, (str, int, float)):
-            return [value]
-        if value is not None and not isinstance(value, list):
+            value = [value]
+        elif not isinstance(value, list):
             raise ValueError(
                 f"option {key!r} must be a value or a list, got {value!r}"
             )
+        for item in value:
+            try:
+                if not isinstance(item, (str, int, float)):
+                    raise TypeError
+                kind(item)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"option {key!r} must hold {kind.__name__} values, "
+                    f"got {item!r}"
+                ) from None
         return value
 
 
@@ -284,12 +298,12 @@ def cmd_simulate(args) -> int:
     cfg = _load_config_file(args.config)
     opts = _Options(args, cfg)
 
-    seeds = opts.get_list("seed")
+    seeds = opts.get_list("seed", int)
     if not seeds:
         seeds = [_fresh_seed()]
         log.info("no seed given; generated %d", seeds[0])
-    lambda_pcts = opts.get_list("lambda_pct") or [50.0]
-    methods = opts.get_list("method") or ["mxne"]
+    lambda_pcts = opts.get_list("lambda_pct", float) or [50.0]
+    methods = opts.get_list("method", str) or ["mxne"]
     jobs = int(opts.get("jobs") or os.environ.get("BSMX_JOBS", "1"))
 
     spec_defaults = {f.name: f.default for f in fields(ScenarioSpec)}
@@ -392,9 +406,9 @@ def cmd_benchmark(args) -> int:
         noise=0.05,
     )
     lam_top = lambda_max(m, design)
-    lambda_pcts = [float(p) for p in (opts.get_list("lambda_pct") or
+    lambda_pcts = [float(p) for p in (opts.get_list("lambda_pct", float) or
                                       [40, 50, 60, 70, 80, 90])]
-    methods = opts.get_list("methods") or list(BENCH_METHODS)
+    methods = opts.get_list("methods", str) or list(BENCH_METHODS)
     # the flag gives one comma-separated string
     names = [name.strip() for entry in methods for name in entry.split(",")]
     method_list = [name for name in names if name]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +26,9 @@ from .model import (
     BlockSparseEstimate,
     Measurements,
     SolverConfig,
+    _change_time_basis,
     _check_paired,
+    _compress_time,
     _pack,
     _unpack,
     residual,
@@ -99,16 +101,21 @@ def compute_weights(prev: BlockSparseEstimate) -> np.ndarray:
     return w
 
 
-def _max_abs_change(est: BlockSparseEstimate,
-                    prev: BlockSparseEstimate) -> float:
+def _max_abs_change(est: BlockSparseEstimate, prev: BlockSparseEstimate,
+                    vt: Optional[np.ndarray] = None) -> float:
     """Entrywise max-abs of ``densify(est) - densify(prev)``, bitwise.
 
     Only the union of the two supports is packed: every other entry is
-    zero in both, and the difference there is zero.
+    zero in both, and the difference there is zero. For estimates in
+    compressed time (:func:`bsmx.model._compress_time`), ``vt`` maps the
+    difference back to full time first: the entrywise max-abs is not
+    invariant under that rotation.
     """
     union = np.union1d(est.active_set, prev.active_set)
     o, t = est.n_orient, est.n_times
     diff = _pack(est, union, o, t) - _pack(prev, union, o, t)
+    if vt is not None:
+        diff = diff @ vt
     return float(np.abs(diff).max(initial=0.0))
 
 
@@ -127,7 +134,9 @@ def _solve_surrogate(
     The design blocks are scaled by their weights, the previous estimate is
     carried over as a warm start in the rescaled coordinates (divided
     blockwise by the weight), and the solution is mapped back by the same
-    weights afterwards.
+    weights afterwards. An active block whose norm underflows has weight
+    zero; like any other zero-weight location it is left out of the warm
+    start and of the candidate set.
     """
     cand = np.flatnonzero(weights > 0)
     n_orient, n_times = g.n_orient, m.n_times
@@ -140,9 +149,10 @@ def _solve_surrogate(
         g.entries[:, cols] * scale[None, :], len(cand), n_orient
     )
 
-    prev_scale = np.repeat(weights[list(prev.active_set)], n_orient)
-    warm = _unpack(prev.coef / prev_scale[:, None],
-                   np.searchsorted(cand, prev.active_set), len(cand), n_orient)
+    # cand is the support of prev less its zero-weight locations
+    kept = np.repeat(weights[list(prev.active_set)] > 0, n_orient)
+    warm = _unpack(prev.coef[kept] / scale[:, None], np.arange(len(cand)),
+                   len(cand), n_orient)
 
     sub_sol, _ = solve_active_set(
         m, sub_design, warm, lam, config, trace=trace, time_origin=t0
@@ -171,6 +181,12 @@ def solve_irmxne(
     surrogate majorizes the objective at the previous estimate, and the
     inner solver descends monotonically from its warm start.
 
+    Long epochs are compressed automatically: when ``n_times >
+    n_sensors``, every reweight is solved exactly on ``U S`` of one thin
+    SVD ``M = U S V^T``. Weights, objectives and gaps do not change under
+    ``V``; the stopping test and the returned estimate (also the one an
+    ``IterationLimitError`` carries) are in full time.
+
     Raises
     ------
     IterationLimitError
@@ -179,6 +195,7 @@ def solve_irmxne(
         iterations, and ``weights`` also holds the failed iteration's.
     """
     _check_paired(m, g)
+    m, vt = _compress_time(m)
     lam = resolve_lambda(config, m, g)
     trace = ConvergenceTrace()
     t0 = time.perf_counter()
@@ -199,13 +216,14 @@ def solve_irmxne(
             est = _solve_surrogate(m, g, weights, prev, lam, config, trace, t0)
             state.iteration = k
             state.objective_trace.append(nonconvex_objective(m, g, est, lam))
-            diff = _max_abs_change(est, prev)
+            diff = _max_abs_change(est, prev, vt)
             prev = est
             if diff < config.reweight_tol:
                 state.converged = True
                 break
     except IterationLimitError as exc:
         exc.state = state
+        exc.estimate = _change_time_basis(exc.estimate, vt)
         raise
 
-    return prev, state, trace
+    return _change_time_basis(prev, vt), state, trace

@@ -114,6 +114,22 @@ class Measurements:
         return f"Measurements(n_sensors={self.n_sensors}, n_times={self.n_times})"
 
 
+def _compress_time(m: Measurements) -> Tuple[Measurements, Optional[np.ndarray]]:
+    """Exact temporal compression of data with more time points than sensors.
+
+    Returns ``(Measurements(U * s), vt)`` for the thin SVD ``M = U S V^T``
+    when ``n_times > n_sensors``, and ``(m, None)`` otherwise. No rank is
+    cut, so the mixed-norm problems on ``U S`` and on ``M`` are equivalent:
+    the optimum lies in the row space of ``V^T``, and residual energy and
+    block norms are invariant under right multiplication by ``V``. A
+    compressed estimate ``Z`` maps back to full time as ``Z @ vt``.
+    """
+    if m.n_times <= m.n_sensors:
+        return m, None
+    u, s, vt = np.linalg.svd(m.entries, full_matrices=False)
+    return Measurements(u * s), vt
+
+
 @dataclass(frozen=True, repr=False)
 class BlockSparseEstimate:
     """Source coefficients of the support, packed into one array.
@@ -199,6 +215,11 @@ class BlockSparseEstimate:
         """Block of location ``s``, or None if inactive."""
         i = self._index.get(s)
         return None if i is None else self.blocks[i]
+
+    def __reduce__(self):
+        # rebuild through the constructor: a read-only coef with views as blocks
+        return (type(self), (self.active_set, self.coef, self.n_locations,
+                             self.n_orient, self.n_times))
 
     def __repr__(self):
         return (
@@ -294,6 +315,22 @@ def _unpack(x: np.ndarray, cand: Sequence[int], n_locations: int,
         np.asarray(cand, dtype=int)[nonzero], x[np.repeat(nonzero, n_orient)],
         n_locations, n_orient, x.shape[1],
     )
+
+
+def _change_time_basis(
+    est: Optional[BlockSparseEstimate], basis: Optional[np.ndarray],
+) -> Optional[BlockSparseEstimate]:
+    """``est`` with its coefficients right-multiplied by ``basis``.
+
+    Maps between full time and the compressed time of
+    :func:`_compress_time`: ``vt.T`` maps in, ``vt`` maps out. Blocks that
+    become exactly zero are dropped. Returns ``est`` itself when either
+    argument is None (no estimate, or data that was not compressed).
+    """
+    if est is None or basis is None:
+        return est
+    return _unpack(est.coef @ basis, est.active_set, est.n_locations,
+                   est.n_orient)
 
 
 def densify(est: BlockSparseEstimate) -> np.ndarray:

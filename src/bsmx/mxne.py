@@ -26,7 +26,9 @@ from .model import (
     BlockSparseEstimate,
     Measurements,
     SolverConfig,
+    _change_time_basis,
     _check_paired,
+    _compress_time,
     _pack,
     _unpack,
     residual,
@@ -232,9 +234,12 @@ def lambda_max(m: Measurements, g: BlockDesign) -> float:
     """Smallest regularization weight for which the zero estimate is optimal.
 
     From the optimality condition at zero: ``max_s ||G_s^T M||_Fro``. Any
-    weight at or above this value yields an empty support.
+    weight at or above this value yields an empty support. Data with more
+    time points than sensors is compressed first (``M = U S V^T``, scored
+    as ``G^T U S``), which leaves every score unchanged.
     """
     _check_paired(m, g)
+    m, _ = _compress_time(m)
     corr = g.entries.T @ m.entries
     return float(_location_norms(corr, g.n_orient).max())
 
@@ -491,6 +496,13 @@ def solve_active_set(
     ascending location order and ties in violator selection break toward
     the lower index.
 
+    Long epochs are compressed automatically: when ``n_times >
+    n_sensors``, the problem is solved exactly on ``U S`` of the thin SVD
+    ``M = U S V^T``, with the warm start mapped in as ``X V``. The returned
+    estimate, and the one an ``IterationLimitError`` carries, are mapped
+    back as ``Z V^T`` and so stay in full time; the primal, dual and gap
+    in the trace are those of the full problem.
+
     Parameters
     ----------
     inner : {"bcd", "pgd"}
@@ -507,6 +519,18 @@ def solve_active_set(
     _check_paired(m, g, warm)
     if inner not in ("bcd", "pgd"):
         raise ValueError(f"unknown inner solver {inner!r}")
+    m_short, vt = _compress_time(m)
+    if vt is not None:
+        # the compressed data has n_times == n_sensors: no further recursion
+        try:
+            est, trace = solve_active_set(
+                m_short, g, _change_time_basis(warm, vt.T), lam, config,
+                inner=inner, trace=trace, time_origin=time_origin,
+            )
+        except IterationLimitError as exc:
+            exc.estimate = _change_time_basis(exc.estimate, vt)
+            raise
+        return _change_time_basis(est, vt), trace
     n_loc, n_orient, n_times = g.n_locations, g.n_orient, m.n_times
     lam_vec = _lam_vector(lam, n_loc)
 

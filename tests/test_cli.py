@@ -248,6 +248,21 @@ def test_simulate_config_rejects_other_types(tmp_path, caplog):
     assert "'lambda_pct'" in caplog.text
 
 
+@pytest.mark.parametrize("key,value", [
+    ("seed", ["x"]), ("seed", [[1]]), ("lambda_pct", [30, "high"]),
+])
+def test_simulate_config_checks_list_elements(tmp_path, caplog, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    flags = {"seed": ["--seed", "1"], "lambda_pct": ["--lambda-pct", "50"]}
+    flags.pop(key)
+    rc = main(["simulate", *SIM_ARGS, *sum(flags.values(), []),
+               "--method", "mxne", "--config", str(cfg),
+               "--out", str(tmp_path / "sim")])
+    assert rc == 2
+    assert repr(key) in caplog.text
+
+
 def test_simulate_draws_each_scenario_once(tmp_path, monkeypatch):
     drawn = []
     generate = cli.generate_scenario

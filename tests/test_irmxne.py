@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from bsmx import irmxne
 from bsmx.irmxne import (
     _max_abs_change,
+    _solve_surrogate,
     compute_weights,
     nonconvex_objective,
     solve_irmxne,
@@ -18,6 +20,7 @@ from bsmx.model import (
     densify,
 )
 from bsmx.mxne import (
+    ConvergenceTrace,
     IterationLimitError,
     lambda_max,
     primal_objective,
@@ -94,6 +97,25 @@ def test_compute_weights_values():
     assert w[0] == 0.0 and w[2] == 0.0 and w[4] == 0.0
     assert w[1] == pytest.approx(2.0, rel=1e-14)
     assert w[3] == pytest.approx(1.0, rel=1e-14)
+
+
+def test_surrogate_drops_block_with_underflowing_weight():
+    # the 1e-200 block is nonzero, but its norm underflows to a zero weight
+    rng = np.random.default_rng(12)
+    g = BlockDesign(rng.standard_normal((10, 6)), 6, 1)
+    prev = BlockSparseEstimate.from_blocks(
+        [(1, np.full((1, 4), 1e-200)), (3, np.ones((1, 4)))], 6, 1, 4
+    )
+    m = Measurements(g.entries @ densify(prev)
+                     + 0.01 * rng.standard_normal((10, 4)))
+    weights = compute_weights(prev)
+    assert weights[1] == 0.0 and weights[3] > 0.0
+    lam = 0.1 * lambda_max(m, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = _solve_surrogate(m, g, weights, prev, lam, SolverConfig(lam=lam),
+                               ConvergenceTrace(), 0.0)
+    assert est.active_set == (3,)
 
 
 def test_irmxne_empty_at_lambda_max():

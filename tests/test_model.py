@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,22 @@ def test_types_are_immutable():
         truth.blocks[0][0, 0] = 1.0
     with pytest.raises(ValueError):
         truth.coef[0, 0] = 1.0
+
+
+def test_estimate_survives_pickling():
+    rng = np.random.default_rng(6)
+    _, _, truth = make_instance(rng)
+    for est in (truth, BlockSparseEstimate.empty(7, 3, 4)):
+        copy = pickle.loads(pickle.dumps(est))
+        assert copy.active_set == est.active_set
+        assert (copy.n_locations, copy.n_orient, copy.n_times) == \
+            (est.n_locations, est.n_orient, est.n_times)
+        assert np.array_equal(copy.coef, est.coef)
+        assert not copy.coef.flags.writeable
+        assert len(copy.blocks) == est.n_active
+        assert all(np.shares_memory(b, copy.coef) for b in copy.blocks)
+        for s, b in zip(est.active_set, est.blocks):
+            assert np.array_equal(copy.block_for(s), b)
 
 
 def test_single_time_sample_supported():

@@ -35,7 +35,6 @@ from .mxne import (
     dual_objective,
     duality_gap,
     lambda_max,
-    resolve_lambda,
     solve_bcd,
     solve_active_set,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "dual_objective",
     "duality_gap",
     "lambda_max",
-    "resolve_lambda",
     "solve_bcd",
     "solve_active_set",
     "ReweightState",

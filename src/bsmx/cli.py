@@ -96,6 +96,19 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
+def _typed(key, value, kind):
+    """``value`` of option ``key``, converted as its flag would convert it.
+    A switch (``kind`` is ``bool``) takes only a JSON boolean."""
+    if kind is bool and isinstance(value, bool):
+        return value
+    if kind is not bool and type(value) in (str, int, float):
+        try:
+            return kind(str(value))
+        except ValueError:
+            pass
+    raise ValueError(f"option {key!r} must be a {kind.__name__}, got {value!r}")
+
+
 class _Options:
     """Layered option lookup: CLI flag, then config file, then default."""
 
@@ -104,18 +117,22 @@ class _Options:
         self.cfg = cfg
         self.resolved = {}
 
-    def get(self, key, default=None):
+    def get(self, key, default=None, kind=None):
+        """The option's value; one from the config file or the default is
+        converted by ``kind`` (see :func:`_typed`) unless it is None."""
         value = getattr(self.args, key, None)
         if value is None:
             value = self.cfg.get(key, default)
+            if kind is not None and value is not None:
+                value = _typed(key, value, kind)
         self.resolved[key] = value
         return value
 
     def get_list(self, key, kind):
         """A list-valued option, or None if unset. The config file may give
-        one value for a one-element list. Every element must be a scalar
-        that ``kind`` (``int``, ``float`` or ``str``) accepts; the elements
-        are returned as given."""
+        one value for a one-element list. Every element must be a value
+        that ``kind`` (``int``, ``float`` or ``str``) converts as the flag
+        would; the elements are returned as given."""
         value = self.get(key)
         if value is None:
             return None
@@ -126,15 +143,7 @@ class _Options:
                 f"option {key!r} must be a value or a list, got {value!r}"
             )
         for item in value:
-            try:
-                if not isinstance(item, (str, int, float)):
-                    raise TypeError
-                kind(item)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"option {key!r} must hold {kind.__name__} values, "
-                    f"got {item!r}"
-                ) from None
+            _typed(key, item, kind)
         return value
 
 
@@ -167,49 +176,50 @@ def _load_problem(args):
     (``--depth``); a fractional lambda resolves against the weighted design.
     """
     opts = _Options(args, _load_config_file(args.config))
-    n_orient = int(opts.get("n_orient", 1))
+    n_orient = opts.get("n_orient", 1, int)
     design, data = _read_gain_and_data(args.gain, args.data, n_orient)
-    loose, depth = opts.get("loose"), opts.get("depth")
+    loose, depth = opts.get("loose", kind=float), opts.get("depth", kind=float)
     if loose is not None:
         design = apply_loose_orientation(design, loose)
     depth_weights = None
     if depth is not None and depth > 0:
         design, depth_weights = apply_depth_weights(design, depth)
 
-    lam_abs = opts.get("lam")
-    lam_pct = opts.get("lambda_pct")
-    if (lam_abs is None) == (lam_pct is None):
+    lam = opts.get("lam", kind=float)
+    lam_pct = opts.get("lambda_pct", kind=float)
+    if (lam is None) == (lam_pct is None):
         raise ValueError("give exactly one of --lambda or --lambda-pct")
-    if lam_abs is not None:
-        lam = float(lam_abs)
-    else:
-        lam = float(lam_pct) / 100.0 * lambda_max(data, design)
+    if lam is None:
+        lam = lam_pct / 100.0 * lambda_max(data, design)
     return opts, data, design, depth_weights, lam
 
 
-def _solver_config(opts, lam, lam_is_fraction=False) -> SolverConfig:
-    """``SolverConfig`` whose tunable fields come from the options, each
-    defaulting to the dataclass's own default."""
-    tunable = {
-        f.name: type(f.default)(opts.get(f.name, f.default))
-        for f in fields(SolverConfig)
-        if f.name not in ("lam", "lam_is_fraction")
-    }
-    return SolverConfig(lam=lam, lam_is_fraction=lam_is_fraction, **tunable)
+def _solver_config(opts) -> SolverConfig:
+    """``SolverConfig`` from the options, each field defaulting to the
+    dataclass's own default."""
+    return SolverConfig(**{f.name: opts.get(f.name, f.default, type(f.default))
+                           for f in fields(SolverConfig)})
+
+
+def _add_solver_options(parser):
+    """One flag per ``SolverConfig`` field, typed as its default."""
+    for f in fields(SolverConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            type=type(f.default))
 
 
 def cmd_solve(args) -> int:
     t_start = time.perf_counter()
     opts, data, design, depth_weights, lam = _load_problem(args)
-    config = _solver_config(opts, lam)
-    method = opts.get("method", "mxne")
+    config = _solver_config(opts)
+    method = opts.get("method", "mxne", str)
 
     os.makedirs(args.out, exist_ok=True)
     state = None
     if method == "mxne":
         est, trace = solve_active_set(data, design, None, lam, config)
     elif method == "irmxne":
-        est, state, trace = solve_irmxne(data, design, config)
+        est, state, trace = solve_irmxne(data, design, lam, config)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -219,7 +229,7 @@ def cmd_solve(args) -> int:
     if state is not None:
         state.to_json(os.path.join(args.out, "reweight_state.json"))
 
-    if opts.get("debias", False):
+    if opts.get("debias", False, bool):
         if est.n_active == 0:
             log.info("estimate is empty; skipping debiasing")
         else:
@@ -251,14 +261,14 @@ def _simulate_task(payload: dict) -> Tuple[List[dict], Optional[dict]]:
     every lambda and method, and by the stability pass when the payload
     asks for one. Returns the metric rows and the stability entries (None
     when no pass ran)."""
-    seed = payload["seed"]
+    seed, config = payload["seed"], payload["config"]
     spec = ScenarioSpec(**payload["scenario"], rng_seed=seed)
     scenario = generate_scenario(spec)
     rows = []
-    for pct, config in payload["lambdas"]:
+    for pct in payload["lambda_pcts"]:
         for method in payload["methods"]:
-            est = solve_with_method(scenario.m_avg, scenario.design, config,
-                                    method)
+            est = solve_with_method(scenario.m_avg, scenario.design,
+                                    float(pct) / 100.0, config, method)
             est_deb = None
             if payload["debias"] and est.n_active > 0:
                 scaling = estimate_scaling(scenario.m_avg, scenario.design, est)
@@ -276,11 +286,12 @@ def _simulate_task(payload: dict) -> Tuple[List[dict], Optional[dict]]:
     stability = {}
     for method in payload["methods"]:
         stability[method] = {}
-        for pct, config in payload["lambdas"]:
+        for pct in payload["lambda_pcts"]:
             report = resample_stability(
                 scenario,
                 payload["resample_fraction"],
                 payload["resamples"],
+                float(pct) / 100.0,
                 config,
                 method=method,
                 rng_seed=seed,
@@ -304,28 +315,26 @@ def cmd_simulate(args) -> int:
         log.info("no seed given; generated %d", seeds[0])
     lambda_pcts = opts.get_list("lambda_pct", float) or [50.0]
     methods = opts.get_list("method", str) or ["mxne"]
-    jobs = int(opts.get("jobs") or os.environ.get("BSMX_JOBS", "1"))
+    jobs = opts.get("jobs", kind=int) or int(os.environ.get("BSMX_JOBS", "1"))
 
     spec_defaults = {f.name: f.default for f in fields(ScenarioSpec)}
     scenario_params = {
-        name: int(opts.get(name, spec_defaults[name]))
+        name: opts.get(name, spec_defaults[name], int)
         for name in ("n_sensors", "n_locations", "n_orient", "n_times",
                      "n_trials", "n_noise_dipoles")
     }
-    debias = bool(opts.get("debias", False))
-    configs = {
-        pct: _solver_config(opts, float(pct) / 100.0, lam_is_fraction=True)
-        for pct in lambda_pcts
-    }
+    debias = bool(opts.get("debias", False, bool))
+    config = _solver_config(opts)
     # a count below one runs no stability pass
-    n_resamples = max(int(opts.get("resamples", 0) or 0), 0)
-    fraction = float(opts.get("resample_fraction", 0.8)) if n_resamples else None
+    n_resamples = max(opts.get("resamples", 0, int) or 0, 0)
+    fraction = opts.get("resample_fraction", 0.8, float) if n_resamples else None
     # stability is assessed on the first seed's scenario, inside its task
     payloads = [
         {
             "seed": int(seed),
             "scenario": scenario_params,
-            "lambdas": [(pct, configs[pct]) for pct in lambda_pcts],
+            "lambda_pcts": list(lambda_pcts),
+            "config": config,
             "methods": list(methods),
             "debias": debias,
             "resamples": n_resamples if i == 0 else 0,
@@ -367,8 +376,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _run_benchmark_method(name, m, design, config):
-    lam = config.lam
+def _run_benchmark_method(name, m, design, lam, config):
     t0 = time.perf_counter()
     if name == "bcd_as":
         est, _ = solve_active_set(m, design, None, lam, config)
@@ -391,17 +399,17 @@ def cmd_benchmark(args) -> int:
     cfg = _load_config_file(args.config)
     opts = _Options(args, cfg)
 
-    seed = opts.get("seed")
+    seed = opts.get("seed", kind=int)
     if seed is None:
         seed = _fresh_seed()
         log.info("no seed given; generated %d", seed)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     m, design, _ = random_instance(
         rng,
-        int(opts.get("n_sensors", 50)),
-        int(opts.get("n_locations", 2000)),
-        int(opts.get("n_orient", 3)),
-        int(opts.get("n_times", 20)),
+        opts.get("n_sensors", 50, int),
+        opts.get("n_locations", 2000, int),
+        opts.get("n_orient", 3, int),
+        opts.get("n_times", 20, int),
         n_active=5,
         noise=0.05,
     )
@@ -412,12 +420,14 @@ def cmd_benchmark(args) -> int:
     # the flag gives one comma-separated string
     names = [name.strip() for entry in methods for name in entry.split(",")]
     method_list = [name for name in names if name]
+    config = _solver_config(opts)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for pct in lambda_pcts:
-        config = _solver_config(opts, pct / 100.0 * lam_top)
+        lam = pct / 100.0 * lam_top
         for name in method_list:
-            seconds, final_gap = _run_benchmark_method(name, m, design, config)
+            seconds, final_gap = _run_benchmark_method(name, m, design, lam,
+                                                       config)
             log.info("benchmark %s lambda_pct=%g: %.3fs gap=%.2e",
                      name, pct, seconds, final_gap)
             rows.append({
@@ -442,7 +452,7 @@ def cmd_benchmark(args) -> int:
     manifest = RunManifest(
         command="benchmark",
         config=opts.resolved,
-        rng_seeds=[int(seed)],
+        rng_seeds=[seed],
         wall_time_s=time.perf_counter() - t_start,
     )
     manifest.write(args.out)
@@ -488,11 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file (flags win)")
-        p.add_argument("--gap-tol", dest="gap_tol", type=float)
-        p.add_argument("--reweight-tol", dest="reweight_tol", type=float)
-        p.add_argument("--max-reweight", dest="max_reweight", type=int)
-        p.add_argument("--active-batch", dest="active_batch", type=int)
-        p.add_argument("--max-bcd-iter", dest="max_bcd_iter", type=int)
 
     def add_problem(p):
         p.add_argument("--gain", required=True)
@@ -512,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=int)
     p_solve.add_argument("--out", required=True)
     add_common(p_solve)
+    _add_solver_options(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_sim = sub.add_parser("simulate", help="run the synthetic study")
@@ -533,6 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (default: BSMX_JOBS or 1)")
     p_sim.add_argument("--out", required=True)
     add_common(p_sim)
+    _add_solver_options(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bench = sub.add_parser("benchmark", help="time solver variants")
@@ -547,6 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"comma list from {','.join(BENCH_METHODS)}")
     p_bench.add_argument("--out", required=True)
     add_common(p_bench)
+    _add_solver_options(p_bench)
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_check = sub.add_parser(

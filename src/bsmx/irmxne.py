@@ -36,7 +36,6 @@ from .model import (
 from .mxne import (
     ConvergenceTrace,
     IterationLimitError,
-    resolve_lambda,
     solve_active_set,
 )
 from .prox import _location_norms
@@ -165,9 +164,11 @@ def _solve_surrogate(
 
 
 def solve_irmxne(
-    m: Measurements, g: BlockDesign, config: SolverConfig
+    m: Measurements, g: BlockDesign, lam: float, config: SolverConfig
 ) -> Tuple[BlockSparseEstimate, ReweightState, ConvergenceTrace]:
     """Run the reweighted outer loop to a fixed point of the weights.
+
+    ``lam`` is the absolute regularization weight; every reweight keeps it.
 
     Iteration 1 solves the plain convex problem (unit weights). Iteration
     ``k >= 2`` restricts the candidate set to locations with positive
@@ -196,7 +197,6 @@ def solve_irmxne(
     """
     _check_paired(m, g)
     m, vt = _compress_time(m)
-    lam = resolve_lambda(config, m, g)
     trace = ConvergenceTrace()
     t0 = time.perf_counter()
     state = ReweightState()

@@ -122,12 +122,17 @@ def _compress_time(m: Measurements) -> Tuple[Measurements, Optional[np.ndarray]]
     cut, so the mixed-norm problems on ``U S`` and on ``M`` are equivalent:
     the optimum lies in the row space of ``V^T``, and residual energy and
     block norms are invariant under right multiplication by ``V``. A
-    compressed estimate ``Z`` maps back to full time as ``Z @ vt``.
+    compressed estimate ``Z`` maps back to full time as ``Z @ vt``. The
+    SVD is taken once per instance.
     """
     if m.n_times <= m.n_sensors:
         return m, None
-    u, s, vt = np.linalg.svd(m.entries, full_matrices=False)
-    return Measurements(u * s), vt
+    # memoized on the immutable instance: lambda_max and the solver share it
+    if "_compressed" not in m.__dict__:
+        u, s, vt = np.linalg.svd(m.entries, full_matrices=False)
+        vt.setflags(write=False)
+        object.__setattr__(m, "_compressed", (Measurements(u * s), vt))
+    return m._compressed
 
 
 @dataclass(frozen=True, repr=False)
@@ -231,17 +236,11 @@ class BlockSparseEstimate:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver parameters shared by the convex and reweighted drivers.
+    """Solver tuning shared by the convex and reweighted drivers; the
+    regularization weight is each solver's own ``lam`` argument.
 
     Parameters
     ----------
-    lam : float
-        Regularization weight. Interpreted as an absolute value, or as a
-        fraction of the data-dependent zero-solution threshold when
-        ``lam_is_fraction`` is set.
-    lam_is_fraction : bool
-        If True, ``lam`` is resolved against ``lambda_max(M, G)`` at solve
-        time.
     gap_tol : float
         Duality-gap threshold declaring a convex solve optimal.
     reweight_tol : float
@@ -259,8 +258,6 @@ class SolverConfig:
         Safety cap on inner coordinate-descent sweeps per subproblem.
     """
 
-    lam: float
-    lam_is_fraction: bool = False
     gap_tol: float = 1e-6
     reweight_tol: float = 1e-6
     max_reweight: int = 30
@@ -268,8 +265,6 @@ class SolverConfig:
     max_bcd_iter: int = 100_000
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
         if not self.gap_tol > 0:
             raise ValueError("gap_tol must be positive")
         if not self.reweight_tol > 0:

@@ -44,7 +44,6 @@ __all__ = [
     "dual_objective",
     "duality_gap",
     "lambda_max",
-    "resolve_lambda",
     "solve_bcd",
     "solve_active_set",
 ]
@@ -242,13 +241,6 @@ def lambda_max(m: Measurements, g: BlockDesign) -> float:
     m, _ = _compress_time(m)
     corr = g.entries.T @ m.entries
     return float(_location_norms(corr, g.n_orient).max())
-
-
-def resolve_lambda(config: SolverConfig, m: Measurements, g: BlockDesign) -> float:
-    """Absolute regularization weight for a config (resolving fractions)."""
-    if config.lam_is_fraction:
-        return config.lam * lambda_max(m, g)
-    return config.lam
 
 
 def solve_bcd(

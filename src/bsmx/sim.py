@@ -29,8 +29,9 @@ from .model import (
     densify,
     residual,
 )
+from . import mxne
 from .irmxne import solve_irmxne
-from .mxne import resolve_lambda, solve_active_set
+from .mxne import solve_active_set
 
 __all__ = [
     "AR_DEFAULT",
@@ -401,28 +402,29 @@ class StabilityReport:
         )
 
 
-def solve_with_method(m: Measurements, g: BlockDesign, config: SolverConfig,
-                      method: str) -> BlockSparseEstimate:
-    """Dispatch to the convex or the reweighted solver by name."""
+def solve_with_method(m: Measurements, g: BlockDesign, lam_fraction: float,
+                      config: SolverConfig, method: str) -> BlockSparseEstimate:
+    """Dispatch to the convex or the reweighted solver by name, at
+    ``lam_fraction`` of the data's own ``lambda_max``."""
+    # looked up at call time, so a rebound mxne.lambda_max sees every call
+    lam = lam_fraction * mxne.lambda_max(m, g)
     if method == "mxne":
-        lam = resolve_lambda(config, m, g)
-        est, _ = solve_active_set(m, g, None, lam, config)
-        return est
+        return solve_active_set(m, g, None, lam, config)[0]
     if method == "irmxne":
-        est, _, _ = solve_irmxne(m, g, config)
-        return est
+        return solve_irmxne(m, g, lam, config)[0]
     raise ValueError(f"unknown method {method!r}; expected 'mxne' or 'irmxne'")
 
 
 def resample_stability(scenario: Scenario, fraction: float, n_resamples: int,
-                       config: SolverConfig, *, method: str = "mxne",
+                       lam_fraction: float, config: SolverConfig, *,
+                       method: str = "mxne",
                        rng_seed: int = 0) -> StabilityReport:
     """Support stability over random trial subsets.
 
     Each resample averages a without-replacement fraction of the trials,
-    solves with the requested method (fractional regularization resolves
-    against each subsample's own zero-solution threshold), and records the
-    selected support. Krippendorff's alpha treats resamples as coders and
+    solves with the requested method at ``lam_fraction`` of that
+    subsample's own zero-solution threshold, and records the selected
+    support. Krippendorff's alpha treats resamples as coders and
     restricts the units to locations selected at least once.
     """
     if not 0 < fraction < 1:
@@ -442,7 +444,8 @@ def resample_stability(scenario: Scenario, fraction: float, n_resamples: int,
     for r in range(n_resamples):
         idx = rng.choice(n_trials, size=k, replace=False)
         m_r = Measurements(scenario.trials[idx].mean(axis=0))
-        est = solve_with_method(m_r, scenario.design, config, method)
+        est = solve_with_method(m_r, scenario.design, lam_fraction, config,
+                                method)
         selection[r, list(est.active_set)] = 1
 
     seen = selection.any(axis=0)

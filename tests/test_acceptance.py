@@ -59,7 +59,7 @@ def test_criterion_01_epsilon_optimality():
     worst_gap = 0.0
     worst_diff = 0.0
     for m, g, lam in _instances(rng, 50):
-        config = SolverConfig(lam=lam, gap_tol=1e-6)
+        config = SolverConfig(gap_tol=1e-6)
         est, trace = solve_active_set(m, g, None, lam, config)
         oracle = solve_proximal_gradient(m, g, lam, 1e-6)
         gap = duality_gap(m, g, est, lam).gap
@@ -86,9 +86,9 @@ def test_criterion_02_lambda_max_boundary():
                                   noise=0.1)
         lam_top = lambda_max(m, g)
         above, _ = solve_active_set(m, g, None, 1.01 * lam_top,
-                                    SolverConfig(lam=1.01 * lam_top))
+                                    SolverConfig())
         below, _ = solve_active_set(m, g, None, 0.99 * lam_top,
-                                    SolverConfig(lam=0.99 * lam_top))
+                                    SolverConfig())
         ok = ok and above.n_active == 0 and below.n_active > 0
     _report(2, ok, "20 instances: empty at 1.01*lambda_max, "
                    "nonempty at 0.99*lambda_max")
@@ -128,7 +128,7 @@ def test_criterion_04_kkt_certificate():
     worst_inactive = -np.inf
     worst_active = 0.0
     for m, g, lam in _instances(rng, 12):
-        config = SolverConfig(lam=lam, gap_tol=1e-10)
+        config = SolverConfig(gap_tol=1e-10)
         est, _ = solve_active_set(m, g, None, lam, config)
         r = residual(m, g, est)
         corr = g.entries.T @ r
@@ -156,14 +156,14 @@ def test_criterion_05_mm_monotonicity_and_first_iteration():
     ok_monotone = True
     worst_first = 0.0
     for m, g, lam in _instances(rng, 20, n_locations=40):
-        config = SolverConfig(lam=lam)
-        _, state, _ = solve_irmxne(m, g, config)
+        config = SolverConfig()
+        _, state, _ = solve_irmxne(m, g, lam, config)
         obj = state.objective_trace
         for prev, cur in zip(obj, obj[1:]):
             if cur > prev + 1e-10 * abs(prev):
                 ok_monotone = False
         one_shot, _, _ = solve_irmxne(
-            m, g, SolverConfig(lam=lam, max_reweight=1)
+            m, g, lam, SolverConfig(max_reweight=1)
         )
         standalone, _ = solve_active_set(m, g, None, lam, config)
         diff = abs(primal_objective(m, g, one_shot, lam)
@@ -191,9 +191,9 @@ def simulation_study():
         m, g = scenario.m_avg, scenario.design
         for pct in LAMBDA_GRID:
             lam = pct / 100.0 * lambda_max(m, g)
-            config = SolverConfig(lam=lam)
+            config = SolverConfig()
             est_mx, _ = solve_active_set(m, g, None, lam, config)
-            est_ir, _, _ = solve_irmxne(m, g, config)
+            est_ir, _, _ = solve_irmxne(m, g, lam, config)
             for method, est in (("mxne", est_mx), ("irmxne", est_ir)):
                 entry = {"report": evaluate(scenario, est), "d_ok": True,
                          "descent_ok": True, "rel_reduction": 0.0}
@@ -263,10 +263,10 @@ def test_criterion_08_stability_trend():
     # instability across resamples (alpha < 1) while the reweighted one
     # stays stable, making the ordering assertion non-trivial
     scenario = generate_scenario(ScenarioSpec(rng_seed=6))
-    config = SolverConfig(lam=0.5, lam_is_fraction=True)
+    config = SolverConfig()
     alphas = {}
     for method in ("mxne", "irmxne"):
-        report = resample_stability(scenario, 0.8, 20, config,
+        report = resample_stability(scenario, 0.8, 20, 0.5, config,
                                     method=method, rng_seed=42)
         alphas[method] = report.krippendorff_alpha
 
@@ -274,8 +274,8 @@ def test_criterion_08_stability_trend():
         ScenarioSpec(noise_dipole_amplitude=0.0, sensor_noise_std=0.0,
                      rng_seed=1)
     )
-    clean = resample_stability(noise_free, 0.8, 8, config, method="mxne",
-                               rng_seed=42)
+    clean = resample_stability(noise_free, 0.8, 8, 0.5, config,
+                               method="mxne", rng_seed=42)
 
     rng = np.random.default_rng(108)
     chance = krippendorff_alpha(rng.random((100, 50)) < 0.5)
@@ -301,7 +301,7 @@ def test_criterion_09_benchmark_ordering():
     for pct in (40, 50, 60, 70, 80, 90):
         lam = pct / 100.0 * lam_top
         t0 = time.perf_counter()
-        est_bcd, _ = solve_active_set(m, g, None, lam, SolverConfig(lam=lam))
+        est_bcd, _ = solve_active_set(m, g, None, lam, SolverConfig())
         t_bcd = time.perf_counter() - t0
         t0 = time.perf_counter()
         est_pgd = solve_proximal_gradient(m, g, lam, 1e-6)
@@ -326,14 +326,14 @@ def test_criterion_10_equivariance():
             m, g, _ = random_instance(rng, 20, 15, 3, 8, n_active=3,
                                       noise=0.2)
             lam = 0.4 * lambda_max(m, g)
-            config = SolverConfig(lam=lam, gap_tol=1e-10)
+            config = SolverConfig(gap_tol=1e-10)
             cols = []
             for s in range(g.n_locations):
                 q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
                 cols.append(g.block(s) @ q)
             g_rot = BlockDesign(np.hstack(cols), g.n_locations, 3)
-            est, _, _ = solve_irmxne(m, g, config)
-            est_rot, _, _ = solve_irmxne(m, g_rot, config)
+            est, _, _ = solve_irmxne(m, g, lam, config)
+            est_rot, _, _ = solve_irmxne(m, g_rot, lam, config)
             obj = nonconvex_objective(m, g, est, lam)
             obj_rot = nonconvex_objective(m, g_rot, est_rot, lam)
             worst_rot = max(worst_rot,
@@ -347,7 +347,7 @@ def test_criterion_10_equivariance():
             scale = np.repeat(w, g.n_orient)
             g_scaled = BlockDesign(g.entries * scale[None, :],
                                    g.n_locations, g.n_orient)
-            config = SolverConfig(lam=lam, gap_tol=1e-10)
+            config = SolverConfig(gap_tol=1e-10)
             sol_scaled, _ = solve_active_set(m, g_scaled, None, lam, config)
             est_a = BlockSparseEstimate.from_blocks(
                 [(s, b * w[s]) for s, b in zip(sol_scaled.active_set,

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from bsmx import cli, io
 from bsmx.cli import main
-from bsmx.model import BlockSparseEstimate, densify
+from bsmx.model import BlockSparseEstimate, SolverConfig, densify
 from bsmx.sim import random_instance
 
 
@@ -368,3 +370,99 @@ def test_benchmark_config_lists_methods(tmp_path):
     with open(out / "timings.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["method"] for row in rows] == ["bcd_as", "pgd_as"]
+
+
+@pytest.fixture()
+def free_orient_files(tmp_path):
+    rng = np.random.default_rng(4)
+    m, g, _ = random_instance(rng, 15, 10, 3, 8, n_active=2, noise=0.1)
+    gain = tmp_path / "gain.csv"
+    data = tmp_path / "data.csv"
+    io.write_matrix_csv(gain, g.entries)
+    io.write_matrix_csv(data, m.entries)
+    return ["--gain", str(gain), "--data", str(data), "--n-orient", "3",
+            "--lambda-pct", "40"]
+
+
+@pytest.mark.parametrize("key,value", [("loose", "0.6"), ("depth", "0.8")])
+def test_solve_config_scalar_converts_as_its_flag(free_orient_files, tmp_path,
+                                                  key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    from_file, from_flag = tmp_path / "file", tmp_path / "flag"
+    assert main(["solve", *free_orient_files, "--config", str(cfg),
+                 "--out", str(from_file)]) == 0
+    assert main(["solve", *free_orient_files, "--" + key, value,
+                 "--out", str(from_flag)]) == 0
+    assert ((from_file / "estimate.json").read_text()
+            == (from_flag / "estimate.json").read_text())
+    manifest = json.loads((from_file / "manifest.json").read_text())
+    assert manifest["config"][key] == float(value)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"debias": "no"}, {"debias": 1}, {"loose": "wide"}, {"depth": [0.8]},
+    {"max_reweight": 2.5}, {"gap_tol": True},
+])
+def test_solve_config_rejects_mistyped_scalar(free_orient_files, tmp_path,
+                                              caplog, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    rc = main(["solve", *free_orient_files, "--config", str(path),
+               "--out", str(out)])
+    assert rc == 2
+    assert repr(next(iter(cfg))) in caplog.text
+    assert not (out / "estimate_debiased.json").exists()
+
+
+@pytest.mark.parametrize("method", ["mxne", "irmxne"])
+def test_solve_takes_one_svd_of_long_data(tmp_path, monkeypatch, method):
+    # T > n_sensors: lambda_max and the solver share one compression
+    rng = np.random.default_rng(5)
+    m, g, _ = random_instance(rng, 20, 30, 3, 60, n_active=3, noise=0.1)
+    gain, data = tmp_path / "gain.bin", tmp_path / "data.bin"
+    io.write_matrix_binary(gain, g.entries)
+    io.write_matrix_binary(data, m.entries)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rc = main(["solve", "--gain", str(gain), "--data", str(data),
+               "--n-orient", "3", "--lambda-pct", "40", "--method", method,
+               "--out", str(tmp_path / "run")])
+    assert rc == 0
+    assert calls == [(20, 60)]
+
+
+def test_check_rejects_solver_flags(problem_files, tmp_path):
+    gain, data, _, _ = problem_files
+    path = tmp_path / "estimate.json"
+    io.write_estimate(path, BlockSparseEstimate.empty(30, 1, 8))
+    argv = ["check", "--gain", str(gain), "--data", str(data),
+            "--estimate", str(path), "--lambda-pct", "40"]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--gap-tol", "1e-3"])
+    assert info.value.code == 2
+
+
+def test_solver_options_match_config_fields():
+    """The SolverConfig fields, the solver flags and the keys the config
+    builder reads are one set: no flag is dead and no field unreachable."""
+    names = {f.name for f in dataclasses.fields(SolverConfig)}
+    parser = argparse.ArgumentParser()
+    cli._add_solver_options(parser)
+    flags = {action.dest for action in parser._actions} - {"help"}
+    opts = cli._Options(argparse.Namespace(), {})
+    assert cli._solver_config(opts) == SolverConfig()
+    assert flags == names == set(opts.resolved)
+    for command in (["solve", "--gain", "g", "--data", "d"], ["simulate"],
+                    ["benchmark"]):
+        args = cli.build_parser().parse_args(
+            [*command, "--out", "o", "--max-reweight", "7"])
+        assert cli._solver_config(cli._Options(args, {})).max_reweight == 7

@@ -81,7 +81,7 @@ def test_lambda_max_matches_uncompressed_scores(n_orient):
 @pytest.mark.parametrize("n_orient,lam_kind", CASES)
 def test_active_set_certified_on_full_problem(n_orient, lam_kind):
     m, g, lam = _long_problem(3, n_orient, lam_kind)
-    config = SolverConfig(lam=1.0)
+    config = SolverConfig()
     est, trace = solve_active_set(m, g, None, lam, config)
     assert est.n_times == N_TIMES and est.n_active > 0
     report = duality_gap(m, g, est, lam)
@@ -93,7 +93,7 @@ def test_active_set_certified_on_full_problem(n_orient, lam_kind):
 @pytest.mark.parametrize("n_orient,lam_kind", CASES)
 def test_active_set_matches_proximal_gradient(n_orient, lam_kind):
     m, g, lam = _long_problem(4, n_orient, lam_kind)
-    est, _ = solve_active_set(m, g, None, lam, SolverConfig(lam=1.0, gap_tol=1e-10))
+    est, _ = solve_active_set(m, g, None, lam, SolverConfig(gap_tol=1e-10))
     ref = solve_proximal_gradient(m, g, lam, 1e-10)
     assert est.active_set == ref.active_set
     scale = np.abs(ref.coef).max()
@@ -105,7 +105,7 @@ def test_active_set_matches_proximal_gradient(n_orient, lam_kind):
 @pytest.mark.parametrize("n_orient,lam_kind", CASES)
 def test_full_time_warm_start_is_accepted(n_orient, lam_kind):
     m, g, lam = _long_problem(5, n_orient, lam_kind)
-    config = SolverConfig(lam=1.0)
+    config = SolverConfig()
     cold, _ = solve_active_set(m, g, None, lam, config)
     warm, trace = solve_active_set(m, g, cold, lam, config)
     assert warm.n_times == N_TIMES
@@ -118,10 +118,10 @@ def test_full_time_warm_start_is_accepted(n_orient, lam_kind):
 @pytest.mark.parametrize("n_orient", [1, 3])
 def test_irmxne_matches_uncompressed_run(n_orient, monkeypatch):
     m, g, lam = _long_problem(6, n_orient, "scalar")
-    config = SolverConfig(lam=lam, gap_tol=1e-10, reweight_tol=1e-8)
-    est, state, _ = solve_irmxne(m, g, config)
+    config = SolverConfig(gap_tol=1e-10, reweight_tol=1e-8)
+    est, state, _ = solve_irmxne(m, g, lam, config)
     _uncompressed(monkeypatch)
-    ref, ref_state, _ = solve_irmxne(m, g, config)
+    ref, ref_state, _ = solve_irmxne(m, g, lam, config)
     assert est.n_times == N_TIMES
     assert est.active_set == ref.active_set
     assert state.iteration == ref_state.iteration
@@ -135,8 +135,8 @@ def test_irmxne_matches_uncompressed_run(n_orient, monkeypatch):
 def test_max_abs_change_is_taken_in_full_time():
     m, g, lam = _long_problem(7, 3, "scalar")
     short, vt = _compress_time(m)
-    a, _ = solve_active_set(short, g, None, lam, SolverConfig(lam=1.0))
-    b, _ = solve_active_set(short, g, None, 1.3 * lam, SolverConfig(lam=1.0))
+    a, _ = solve_active_set(short, g, None, lam, SolverConfig())
+    b, _ = solve_active_set(short, g, None, 1.3 * lam, SolverConfig())
     full = np.abs(densify(_change_time_basis(a, vt))
                   - densify(_change_time_basis(b, vt))).max()
     assert _max_abs_change(a, b, vt) == pytest.approx(full, rel=1e-12)
@@ -144,7 +144,7 @@ def test_max_abs_change_is_taken_in_full_time():
 
 def test_active_set_iteration_limit_carries_full_time_estimate():
     m, g, lam = _long_problem(8, 3, "scalar")
-    config = SolverConfig(lam=1.0, gap_tol=1e-14, max_bcd_iter=1)
+    config = SolverConfig(gap_tol=1e-14, max_bcd_iter=1)
     with pytest.raises(IterationLimitError) as info:
         solve_active_set(m, g, None, lam, config)
     est = info.value.estimate
@@ -154,7 +154,7 @@ def test_active_set_iteration_limit_carries_full_time_estimate():
 def test_irmxne_iteration_limit_carries_full_time_estimate(monkeypatch):
     # iteration 1 runs uncapped; every reweight step is capped at one sweep
     m, g, lam = _long_problem(9, 3, "scalar")
-    config = SolverConfig(lam=lam)
+    config = SolverConfig()
     inner = irmxne.solve_active_set
 
     def capped(m, g, warm, lam, config, **kwargs):
@@ -164,7 +164,7 @@ def test_irmxne_iteration_limit_carries_full_time_estimate(monkeypatch):
 
     monkeypatch.setattr(irmxne, "solve_active_set", capped)
     with pytest.raises(IterationLimitError) as info:
-        solve_irmxne(m, g, config)
+        solve_irmxne(m, g, lam, config)
     assert info.value.estimate.n_times == N_TIMES
     state = info.value.state
     assert state.iteration == 1 and len(state.weights) == 2

@@ -113,7 +113,7 @@ def test_surrogate_drops_block_with_underflowing_weight():
     lam = 0.1 * lambda_max(m, g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = _solve_surrogate(m, g, weights, prev, lam, SolverConfig(lam=lam),
+        est = _solve_surrogate(m, g, weights, prev, lam, SolverConfig(),
                                ConvergenceTrace(), 0.0)
     assert est.active_set == (3,)
 
@@ -122,7 +122,7 @@ def test_irmxne_empty_at_lambda_max():
     rng = np.random.default_rng(3)
     m, g, _ = make_instance(rng)
     lam = 1.05 * lambda_max(m, g)
-    est, state, _ = solve_irmxne(m, g, SolverConfig(lam=lam))
+    est, state, _ = solve_irmxne(m, g, lam, SolverConfig())
     assert est.n_active == 0
     assert state.iteration == 2  # the zero-difference check fires at k = 2
     assert state.converged
@@ -132,8 +132,8 @@ def test_irmxne_single_iteration_equals_mxne():
     rng = np.random.default_rng(4)
     m, g, _ = make_instance(rng, noise=0.2)
     lam = 0.4 * lambda_max(m, g)
-    config = SolverConfig(lam=lam, max_reweight=1)
-    est_ir, state, _ = solve_irmxne(m, g, config)
+    config = SolverConfig(max_reweight=1)
+    est_ir, state, _ = solve_irmxne(m, g, lam, config)
     est_mx, _ = solve_active_set(m, g, None, lam, config)
     assert state.iteration == 1
     assert est_ir.active_set == est_mx.active_set
@@ -145,7 +145,7 @@ def test_irmxne_first_weights_are_ones():
     rng = np.random.default_rng(5)
     m, g, _ = make_instance(rng, noise=0.2)
     lam = 0.4 * lambda_max(m, g)
-    _, state, _ = solve_irmxne(m, g, SolverConfig(lam=lam))
+    _, state, _ = solve_irmxne(m, g, lam, SolverConfig())
     assert np.array_equal(state.weights[0], np.ones(g.n_locations))
 
 
@@ -153,7 +153,7 @@ def test_irmxne_weights_track_previous_support():
     rng = np.random.default_rng(6)
     m, g, _ = make_instance(rng, noise=0.2)
     lam = 0.3 * lambda_max(m, g)
-    est, state, _ = solve_irmxne(m, g, SolverConfig(lam=lam))
+    est, state, _ = solve_irmxne(m, g, lam, SolverConfig())
     # weight vectors beyond the first are zero exactly off the previous support
     for w in state.weights[1:]:
         assert np.all((w > 0) | (w == 0))
@@ -165,12 +165,12 @@ def test_irmxne_descent_and_support_shrinkage():
     for _ in range(5):
         m, g, _ = make_instance(rng, noise=0.3)
         lam = 0.35 * lambda_max(m, g)
-        est, state, _ = solve_irmxne(m, g, SolverConfig(lam=lam))
+        est, state, _ = solve_irmxne(m, g, lam, SolverConfig())
         obj = state.objective_trace
         for prev, cur in zip(obj, obj[1:]):
             assert cur <= prev + 1e-10 * abs(prev)
         # support never grows past the first (convex) iteration
-        first, _ = solve_active_set(m, g, None, lam, SolverConfig(lam=lam))
+        first, _ = solve_active_set(m, g, None, lam, SolverConfig())
         assert set(est.active_set) <= set(first.active_set)
 
 
@@ -180,8 +180,8 @@ def test_irmxne_sparser_than_mxne_on_correlated_scenario():
     scenario = generate_scenario(spec)
     m, g = scenario.m_avg, scenario.design
     lam = 0.4 * lambda_max(m, g)
-    est_mx, _ = solve_active_set(m, g, None, lam, SolverConfig(lam=lam))
-    est_ir, _, _ = solve_irmxne(m, g, SolverConfig(lam=lam))
+    est_mx, _ = solve_active_set(m, g, None, lam, SolverConfig())
+    est_ir, _, _ = solve_irmxne(m, g, lam, SolverConfig())
     assert set(est_ir.active_set) <= set(est_mx.active_set)
     assert est_ir.n_active <= est_mx.n_active
 
@@ -198,7 +198,7 @@ def test_weighted_reformulation_equivalence():
         scale = np.repeat(w, g.n_orient)
         g_scaled = BlockDesign(g.entries * scale[None, :], g.n_locations,
                                g.n_orient)
-        config = SolverConfig(lam=lam, gap_tol=1e-10)
+        config = SolverConfig(gap_tol=1e-10)
         sol_scaled, _ = solve_active_set(m, g_scaled, None, lam, config)
         est_a = BlockSparseEstimate.from_blocks(
             [(s, b * w[s]) for s, b in zip(sol_scaled.active_set,
@@ -219,7 +219,7 @@ def test_orientation_rotation_equivariance():
     for _ in range(5):
         m, g, _ = make_instance(rng, n_locations=15, n_orient=3, noise=0.2)
         lam = 0.4 * lambda_max(m, g)
-        config = SolverConfig(lam=lam, gap_tol=1e-10)
+        config = SolverConfig(gap_tol=1e-10)
 
         rotations = []
         cols = []
@@ -229,8 +229,8 @@ def test_orientation_rotation_equivariance():
             cols.append(g.block(s) @ q)
         g_rot = BlockDesign(np.hstack(cols), g.n_locations, 3)
 
-        est, state, _ = solve_irmxne(m, g, config)
-        est_rot, state_rot, _ = solve_irmxne(m, g_rot, config)
+        est, state, _ = solve_irmxne(m, g, lam, config)
+        est_rot, state_rot, _ = solve_irmxne(m, g_rot, lam, config)
 
         obj = nonconvex_objective(m, g, est, lam)
         obj_rot = nonconvex_objective(m, g_rot, est_rot, lam)
@@ -245,7 +245,7 @@ def test_irmxne_iteration_cap_not_an_error():
     rng = np.random.default_rng(10)
     m, g, _ = make_instance(rng, noise=0.3)
     lam = 0.3 * lambda_max(m, g)
-    est, state, _ = solve_irmxne(m, g, SolverConfig(lam=lam, max_reweight=2))
+    est, state, _ = solve_irmxne(m, g, lam, SolverConfig(max_reweight=2))
     assert state.iteration == 2
     assert isinstance(est, BlockSparseEstimate)
     # cap exhausted before the difference test fired (generically)
@@ -260,7 +260,8 @@ def test_iteration_limit_carries_reweight_state(monkeypatch):
     # iteration 1 runs uncapped; every reweight step is capped at one sweep
     rng = np.random.default_rng(10)
     m, g, _ = make_instance(rng, noise=0.3)
-    config = SolverConfig(lam=0.3 * lambda_max(m, g))
+    lam = 0.3 * lambda_max(m, g)
+    config = SolverConfig()
     inner = irmxne.solve_active_set
 
     def capped(m, g, warm, lam, config, **kwargs):
@@ -270,7 +271,7 @@ def test_iteration_limit_carries_reweight_state(monkeypatch):
 
     monkeypatch.setattr(irmxne, "solve_active_set", capped)
     with pytest.raises(IterationLimitError) as info:
-        solve_irmxne(m, g, config)
+        solve_irmxne(m, g, lam, config)
     state = info.value.state
     assert state.iteration == 1
     assert len(state.objective_trace) == 1
@@ -283,7 +284,7 @@ def test_reweight_state_json(tmp_path):
     rng = np.random.default_rng(11)
     m, g, _ = make_instance(rng, noise=0.2)
     lam = 0.4 * lambda_max(m, g)
-    _, state, _ = solve_irmxne(m, g, SolverConfig(lam=lam))
+    _, state, _ = solve_irmxne(m, g, lam, SolverConfig())
     path = tmp_path / "state.json"
     state.to_json(path)
     import json
@@ -293,3 +294,13 @@ def test_reweight_state_json(tmp_path):
     assert payload["converged"] == state.converged
     assert len(payload["weights"]) == len(state.weights)
     assert payload["objective_trace"] == pytest.approx(state.objective_trace)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
+def test_solvers_reject_invalid_lambda(lam):
+    # lam is a solver argument, checked by each solver, not by SolverConfig
+    m, g, _ = make_instance(np.random.default_rng(14))
+    with pytest.raises(ValueError, match="lam must be positive"):
+        solve_active_set(m, g, None, lam, SolverConfig())
+    with pytest.raises(ValueError, match="lam must be positive"):
+        solve_irmxne(m, g, lam, SolverConfig())

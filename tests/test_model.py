@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import numpy as np
@@ -209,17 +210,17 @@ def test_single_time_sample_supported():
 
 
 def test_solver_config_validation():
-    SolverConfig(lam=1.0)
+    assert [f.name for f in dataclasses.fields(SolverConfig())] == [
+        "gap_tol", "reweight_tol", "max_reweight", "active_batch",
+        "max_bcd_iter"]
     with pytest.raises(ValueError):
-        SolverConfig(lam=0.0)
+        SolverConfig(gap_tol=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(lam=1.0, gap_tol=0.0)
+        SolverConfig(reweight_tol=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(lam=1.0, reweight_tol=-1.0)
+        SolverConfig(active_batch=0)
     with pytest.raises(ValueError):
-        SolverConfig(lam=1.0, active_batch=0)
-    with pytest.raises(ValueError):
-        SolverConfig(lam=1.0, max_reweight=0)
+        SolverConfig(max_reweight=0)
 
 
 def test_block_lookup():

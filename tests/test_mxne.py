@@ -112,7 +112,7 @@ def test_gap_small_at_converged_estimate():
     rng = np.random.default_rng(7)
     m, g, _ = make_instance(rng)
     lam = 0.4 * lambda_max(m, g)
-    est, _ = solve_active_set(m, g, None, lam, SolverConfig(lam=lam))
+    est, _ = solve_active_set(m, g, None, lam, SolverConfig())
     rep = duality_gap(m, g, est, lam)
     assert rep.primal - rep.dual < 1e-6
     assert rep.gap >= -1e-10
@@ -144,7 +144,7 @@ def test_gap_positive_off_optimum():
     rng = np.random.default_rng(10)
     m, g, _ = make_instance(rng)
     lam = 0.4 * lambda_max(m, g)
-    est, _ = solve_active_set(m, g, None, lam, SolverConfig(lam=lam, gap_tol=1e-10))
+    est, _ = solve_active_set(m, g, None, lam, SolverConfig(gap_tol=1e-10))
     perturbed = BlockSparseEstimate.from_blocks(
         [(s, b * 1.5) for s, b in zip(est.active_set, est.blocks)],
         g.n_locations, g.n_orient, m.n_times,
@@ -175,11 +175,11 @@ def test_lambda_max_brackets_empty_support():
     for _ in range(5):
         m, g, _ = make_instance(rng)
         lam_top = lambda_max(m, g)
-        cfg_hi = SolverConfig(lam=1.01 * lam_top)
-        est_hi, _ = solve_active_set(m, g, None, 1.01 * lam_top, cfg_hi)
+        est_hi, _ = solve_active_set(m, g, None, 1.01 * lam_top,
+                                     SolverConfig())
         assert est_hi.n_active == 0
-        cfg_lo = SolverConfig(lam=0.99 * lam_top)
-        est_lo, _ = solve_active_set(m, g, None, 0.99 * lam_top, cfg_lo)
+        est_lo, _ = solve_active_set(m, g, None, 0.99 * lam_top,
+                                     SolverConfig())
         assert est_lo.n_active > 0
 
 
@@ -420,7 +420,7 @@ def test_solve_active_set_empty_at_lambda_max():
     m, g, _ = make_instance(rng)
     lam = lambda_max(m, g)
     est, trace = solve_active_set(m, g, None, lam * 1.0001,
-                                  SolverConfig(lam=lam * 1.0001))
+                                  SolverConfig())
     assert est.n_active == 0
     # converged on the first certificate, before any inner solve
     assert len(trace) == 1
@@ -479,7 +479,7 @@ def test_solve_active_set_initial_batch_is_top_correlations(monkeypatch):
     lam = 0.2 * lambda_max(m, g)
     batch = 4
     expected = sorted(np.argsort(-norms, kind="stable")[:batch].tolist())
-    config = SolverConfig(lam=lam, active_batch=batch)
+    config = SolverConfig(active_batch=batch)
     calls = _record_inner_solves(monkeypatch)
     solve_active_set(m, g, None, lam, config)
     assert calls[0][0] == expected
@@ -493,7 +493,7 @@ def test_solve_active_set_candidates_double_while_violators_remain(
         m, g, _ = make_instance(rng, n_sensors=60, n_locations=200,
                                 n_active=15, noise=0.3)
         lam = 0.2 * lambda_max(m, g)
-        config = SolverConfig(lam=lam, active_batch=batch)
+        config = SolverConfig(active_batch=batch)
         calls = _record_inner_solves(monkeypatch)
         est, _ = solve_active_set(m, g, None, lam, config)
         assert est.n_active >= 40
@@ -520,7 +520,7 @@ def test_solve_active_set_matches_full_bcd(monkeypatch):
     for _ in range(5):
         m, g, _ = make_instance(rng, n_locations=25, noise=0.2)
         lam = 0.35 * lambda_max(m, g)
-        config = SolverConfig(lam=lam, active_batch=3)
+        config = SolverConfig(active_batch=3)
         calls = _record_inner_solves(monkeypatch)
         est_as, trace_as = solve_active_set(m, g, None, lam, config)
         est_full, _ = solve_bcd(m, g, None, lam, config.gap_tol)
@@ -541,7 +541,7 @@ def test_solve_active_set_pgd_inner_uses_same_tolerances(monkeypatch):
     rng = np.random.default_rng(27)
     m, g, _ = make_instance(rng, n_locations=30, noise=0.2)
     lam = 0.3 * lambda_max(m, g)
-    config = SolverConfig(lam=lam, active_batch=2)
+    config = SolverConfig(active_batch=2)
     bcd_calls = _record_inner_solves(monkeypatch)
     solve_active_set(m, g, None, lam, config)
     monkeypatch.undo()
@@ -565,7 +565,7 @@ def test_solve_active_set_warm_start_agrees():
     rng = np.random.default_rng(24)
     m, g, _ = make_instance(rng, noise=0.2)
     lam = 0.3 * lambda_max(m, g)
-    config = SolverConfig(lam=lam)
+    config = SolverConfig()
     cold, _ = solve_active_set(m, g, None, lam, config)
     warm, _ = solve_active_set(m, g, cold, lam, config)
     p_cold = primal_objective(m, g, cold, lam)
@@ -577,7 +577,7 @@ def test_solve_active_set_deterministic():
     rng = np.random.default_rng(25)
     m, g, _ = make_instance(rng, noise=0.2)
     lam = 0.3 * lambda_max(m, g)
-    config = SolverConfig(lam=lam)
+    config = SolverConfig()
     est1, _ = solve_active_set(m, g, None, lam, config)
     est2, _ = solve_active_set(m, g, None, lam, config)
     assert est1.active_set == est2.active_set
@@ -599,7 +599,7 @@ def test_solve_active_set_excludes_zero_blocks():
     )
     for init in (None, warm):
         with pytest.warns(RuntimeWarning, match="all-zero design blocks"):
-            est, _ = solve_active_set(m, g, init, lam, SolverConfig(lam=lam))
+            est, _ = solve_active_set(m, g, init, lam, SolverConfig())
         assert 3 not in est.active_set
 
 
@@ -608,7 +608,7 @@ def test_support_optimality_certificates():
     m, g, _ = make_instance(rng, noise=0.2)
     lam = 0.4 * lambda_max(m, g)
     est, _ = solve_active_set(m, g, None, lam,
-                              SolverConfig(lam=lam, gap_tol=1e-10))
+                              SolverConfig(gap_tol=1e-10))
     r = residual(m, g, est)
     corr = g.entries.T @ r
     o = g.n_orient

@@ -72,7 +72,7 @@ def test_pgd_agrees_with_active_set_solver():
     for _ in range(10):
         m, g, _ = make_instance(rng, noise=0.2)
         lam = float(rng.uniform(0.2, 0.8)) * lambda_max(m, g)
-        est_as, _ = solve_active_set(m, g, None, lam, SolverConfig(lam=lam))
+        est_as, _ = solve_active_set(m, g, None, lam, SolverConfig())
         est_pg = solve_proximal_gradient(m, g, lam, 1e-6)
         p1 = primal_objective(m, g, est_as, lam)
         p2 = primal_objective(m, g, est_pg, lam)

@@ -1,0 +1,13 @@
+"""The README's library quick start must run as printed."""
+
+import os
+import re
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_python_example_runs():
+    with open(README) as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -5,7 +5,9 @@ import pytest
 from scipy.ndimage import uniform_filter1d
 from scipy.signal import lfilter
 
+from bsmx.irmxne import solve_irmxne
 from bsmx.model import BlockDesign, BlockSparseEstimate, SolverConfig, densify
+from bsmx.mxne import lambda_max, solve_active_set
 from bsmx.sim import (
     ScenarioSpec,
     evaluate,
@@ -231,9 +233,8 @@ def test_krippendorff_coder_duplication():
 
 def test_resample_stability_report():
     scenario = generate_scenario(ScenarioSpec(**SMALL, rng_seed=8))
-    config = SolverConfig(lam=0.6, lam_is_fraction=True)
-    report = resample_stability(scenario, 0.8, 5, config, method="mxne",
-                                rng_seed=0)
+    report = resample_stability(scenario, 0.8, 5, 0.6, SolverConfig(),
+                                method="mxne", rng_seed=0)
     assert report.selection_matrix.shape == (5, scenario.design.n_locations)
     assert np.allclose(report.selection_probability,
                        report.selection_matrix.mean(axis=0))
@@ -244,32 +245,37 @@ def test_resample_stability_perfect_on_noise_free():
     spec = ScenarioSpec(**SMALL, noise_dipole_amplitude=0.0,
                         sensor_noise_std=0.0, rng_seed=9)
     scenario = generate_scenario(spec)
-    config = SolverConfig(lam=0.5, lam_is_fraction=True)
-    report = resample_stability(scenario, 0.8, 4, config, method="mxne",
-                                rng_seed=1)
+    report = resample_stability(scenario, 0.8, 4, 0.5, SolverConfig(),
+                                method="mxne", rng_seed=1)
     assert report.krippendorff_alpha == 1.0
 
 
 def test_resample_stability_validation():
     scenario = generate_scenario(ScenarioSpec(**SMALL, rng_seed=10))
-    config = SolverConfig(lam=0.5, lam_is_fraction=True)
+    config = SolverConfig()
     with pytest.raises(ValueError, match="fraction"):
-        resample_stability(scenario, 1.2, 4, config)
+        resample_stability(scenario, 1.2, 4, 0.5, config)
     with pytest.raises(ValueError, match="resamples"):
-        resample_stability(scenario, 0.8, 1, config)
+        resample_stability(scenario, 0.8, 1, 0.5, config)
     with pytest.raises(ValueError, match="usable subset"):
-        resample_stability(scenario, 0.01, 4, config)
+        resample_stability(scenario, 0.01, 4, 0.5, config)
 
 
 def test_solve_with_method_dispatch():
     scenario = generate_scenario(ScenarioSpec(**SMALL, rng_seed=11))
-    config = SolverConfig(lam=0.5, lam_is_fraction=True)
-    est_mx = solve_with_method(scenario.m_avg, scenario.design, config, "mxne")
-    est_ir = solve_with_method(scenario.m_avg, scenario.design, config, "irmxne")
+    m, g, config = scenario.m_avg, scenario.design, SolverConfig()
+    est_mx = solve_with_method(m, g, 0.5, config, "mxne")
+    est_ir = solve_with_method(m, g, 0.5, config, "irmxne")
     assert isinstance(est_mx, BlockSparseEstimate)
     assert set(est_ir.active_set) <= set(est_mx.active_set)
+    # lam_fraction is taken of the data's own lambda_max
+    lam = 0.5 * lambda_max(m, g)
+    for est, ref in ((est_mx, solve_active_set(m, g, None, lam, config)[0]),
+                     (est_ir, solve_irmxne(m, g, lam, config)[0])):
+        assert est.active_set == ref.active_set
+        assert np.array_equal(est.coef, ref.coef)
     with pytest.raises(ValueError, match="unknown method"):
-        solve_with_method(scenario.m_avg, scenario.design, config, "nope")
+        solve_with_method(m, g, 0.5, config, "nope")
 
 
 def test_random_instance_shapes():

@@ -130,9 +130,9 @@ class _Options:
 
     def get_list(self, key, kind):
         """A list-valued option, or None if unset. The config file may give
-        one value for a one-element list. Every element must be a value
-        that ``kind`` (``int``, ``float`` or ``str``) converts as the flag
-        would; the elements are returned as given."""
+        one value for a one-element list. Every element is converted by
+        ``kind`` (``int``, ``float`` or ``str``) as the flag would convert
+        it; the manifest keeps the list as given."""
         value = self.get(key)
         if value is None:
             return None
@@ -142,9 +142,7 @@ class _Options:
             raise ValueError(
                 f"option {key!r} must be a value or a list, got {value!r}"
             )
-        for item in value:
-            _typed(key, item, kind)
-        return value
+        return [_typed(key, item, kind) for item in value]
 
 
 def _fresh_seed() -> int:
@@ -268,7 +266,7 @@ def _simulate_task(payload: dict) -> Tuple[List[dict], Optional[dict]]:
     for pct in payload["lambda_pcts"]:
         for method in payload["methods"]:
             est = solve_with_method(scenario.m_avg, scenario.design,
-                                    float(pct) / 100.0, config, method)
+                                    pct / 100.0, config, method)
             est_deb = None
             if payload["debias"] and est.n_active > 0:
                 scaling = estimate_scaling(scenario.m_avg, scenario.design, est)
@@ -276,7 +274,7 @@ def _simulate_task(payload: dict) -> Tuple[List[dict], Optional[dict]]:
             report = evaluate(scenario, est, est_deb)
             rows.append({
                 "seed": seed,
-                "lambda_pct": float(pct),
+                "lambda_pct": pct,
                 "method": method,
                 **asdict(report),
             })
@@ -291,7 +289,7 @@ def _simulate_task(payload: dict) -> Tuple[List[dict], Optional[dict]]:
                 scenario,
                 payload["resample_fraction"],
                 payload["resamples"],
-                float(pct) / 100.0,
+                pct / 100.0,
                 config,
                 method=method,
                 rng_seed=seed,
@@ -331,11 +329,11 @@ def cmd_simulate(args) -> int:
     # stability is assessed on the first seed's scenario, inside its task
     payloads = [
         {
-            "seed": int(seed),
+            "seed": seed,
             "scenario": scenario_params,
-            "lambda_pcts": list(lambda_pcts),
+            "lambda_pcts": lambda_pcts,
             "config": config,
-            "methods": list(methods),
+            "methods": methods,
             "debias": debias,
             "resamples": n_resamples if i == 0 else 0,
             "resample_fraction": fraction,
@@ -368,7 +366,7 @@ def cmd_simulate(args) -> int:
     manifest = RunManifest(
         command="simulate",
         config=opts.resolved,
-        rng_seeds=[int(s) for s in seeds],
+        rng_seeds=seeds,
         wall_time_s=time.perf_counter() - t_start,
     )
     manifest.write(args.out)
@@ -414,8 +412,8 @@ def cmd_benchmark(args) -> int:
         noise=0.05,
     )
     lam_top = lambda_max(m, design)
-    lambda_pcts = [float(p) for p in (opts.get_list("lambda_pct", float) or
-                                      [40, 50, 60, 70, 80, 90])]
+    lambda_pcts = (opts.get_list("lambda_pct", float)
+                   or [40.0, 50.0, 60.0, 70.0, 80.0, 90.0])
     methods = opts.get_list("methods", str) or list(BENCH_METHODS)
     # the flag gives one comma-separated string
     names = [name.strip() for entry in methods for name in entry.split(",")]

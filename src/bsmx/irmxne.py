@@ -3,8 +3,9 @@
 Minimizes the non-convex objective
 ``0.5 * ||M - G X||_Fro^2 + lam * sum_s sqrt(||X_s||_Fro)``
 by solving a sequence of convex mixed-norm surrogates. Each outer
-iteration rescales the design blocks by weights derived from the previous
-estimate (majorize-minimize with a linearized square-root penalty), so the
+iteration puts the per-location penalty ``lam / w_s`` on the unscaled
+design, with weights ``w`` derived from the previous estimate
+(majorize-minimize with a linearized square-root penalty), so the
 penalty weights never need epsilon smoothing: locations whose weight hits
 zero are simply dropped from the candidate set and never re-enter.
 
@@ -122,7 +123,7 @@ def _solve_surrogate(
     m: Measurements,
     g: BlockDesign,
     weights: np.ndarray,
-    prev: BlockSparseEstimate,
+    prev: Optional[BlockSparseEstimate],
     lam: float,
     config: SolverConfig,
     trace: ConvergenceTrace,
@@ -130,37 +131,37 @@ def _solve_surrogate(
 ) -> BlockSparseEstimate:
     """One weighted convex solve, restricted to positively weighted locations.
 
-    The design blocks are scaled by their weights, the previous estimate is
-    carried over as a warm start in the rescaled coordinates (divided
-    blockwise by the weight), and the solution is mapped back by the same
-    weights afterwards. An active block whose norm underflows has weight
+    Minimizes ``0.5 * ||M - G_C X||_Fro^2 + sum_s (lam / w_s) ||X_s||_Fro``:
+    the per-location penalty ``lam / w_s`` on the unscaled design ``G_C``
+    of the locations ``C`` with ``w_s > 0``, warm-started from ``prev``
+    (cold when it is None). With every weight positive, ``G_C`` is ``g``
+    itself, not a copy. An active block whose norm underflows has weight
     zero; like any other zero-weight location it is left out of the warm
     start and of the candidate set.
     """
     cand = np.flatnonzero(weights > 0)
-    n_orient, n_times = g.n_orient, m.n_times
+    n_orient = g.n_orient
     if cand.size == 0:
-        return BlockSparseEstimate.empty(g.n_locations, n_orient, n_times)
+        return BlockSparseEstimate.empty(g.n_locations, n_orient, m.n_times)
 
-    cols = g.column_indices(cand)
-    scale = np.repeat(weights[cand], n_orient)
-    sub_design = BlockDesign(
-        g.entries[:, cols] * scale[None, :], len(cand), n_orient
-    )
+    sub_design = g
+    if cand.size < g.n_locations:
+        sub_design = BlockDesign(g.entries[:, g.column_indices(cand)],
+                                 len(cand), n_orient)
 
-    # cand is the support of prev less its zero-weight locations
-    kept = np.repeat(weights[list(prev.active_set)] > 0, n_orient)
-    warm = _unpack(prev.coef[kept] / scale[:, None], np.arange(len(cand)),
-                   len(cand), n_orient)
+    warm = None
+    if prev is not None:
+        # cand is the support of prev less its zero-weight locations
+        kept = np.repeat(weights[list(prev.active_set)] > 0, n_orient)
+        warm = _unpack(prev.coef[kept], np.arange(len(cand)), len(cand),
+                       n_orient)
 
     sub_sol, _ = solve_active_set(
-        m, sub_design, warm, lam, config, trace=trace, time_origin=t0
+        m, sub_design, warm, lam / weights[cand], config, trace=trace,
+        time_origin=t0,
     )
-
-    back = cand[list(sub_sol.active_set)]
-    back_scale = np.repeat(weights[back], n_orient)
-    return _unpack(sub_sol.coef * back_scale[:, None], back, g.n_locations,
-                   n_orient)
+    return _unpack(sub_sol.coef, cand[list(sub_sol.active_set)],
+                   g.n_locations, n_orient)
 
 
 def solve_irmxne(
@@ -170,13 +171,14 @@ def solve_irmxne(
 
     ``lam`` is the absolute regularization weight; every reweight keeps it.
 
-    Iteration 1 solves the plain convex problem (unit weights). Iteration
-    ``k >= 2`` restricts the candidate set to locations with positive
-    weight, solves the rescaled surrogate warm-started from the previous
-    solution, and maps the result back. The loop stops when the
-    estimates of consecutive iterations differ by less than
-    ``config.reweight_tol`` in entrywise max-abs, or after
-    ``config.max_reweight`` iterations (returned with ``converged=False``).
+    Iteration 1 solves the plain convex problem (unit weights, no warm
+    start). Iteration ``k >= 2`` restricts the candidate set to locations
+    with positive weight and solves the surrogate with per-location penalty
+    ``lam / w_s`` on the unscaled design, warm-started from the previous
+    solution. The loop stops when the estimates of consecutive iterations
+    differ by less than ``config.reweight_tol`` in entrywise max-abs, or
+    after ``config.max_reweight`` iterations (returned with
+    ``converged=False``).
 
     The non-convex objective trace is non-increasing up to roundoff: each
     surrogate majorizes the objective at the previous estimate, and the
@@ -201,25 +203,19 @@ def solve_irmxne(
     t0 = time.perf_counter()
     state = ReweightState()
 
-    weights = np.ones(g.n_locations)
-    state.weights.append(weights)
+    prev = None
     try:
-        est, _ = solve_active_set(m, g, None, lam, config,
-                                  trace=trace, time_origin=t0)
-        state.iteration = 1
-        state.objective_trace.append(nonconvex_objective(m, g, est, lam))
-
-        prev = est
-        for k in range(2, config.max_reweight + 1):
-            weights = compute_weights(prev)
+        for k in range(1, config.max_reweight + 1):
+            weights = (np.ones(g.n_locations) if prev is None
+                       else compute_weights(prev))
             state.weights.append(weights)
             est = _solve_surrogate(m, g, weights, prev, lam, config, trace, t0)
             state.iteration = k
             state.objective_trace.append(nonconvex_objective(m, g, est, lam))
-            diff = _max_abs_change(est, prev, vt)
+            state.converged = (prev is not None and _max_abs_change(
+                est, prev, vt) < config.reweight_tol)
             prev = est
-            if diff < config.reweight_tol:
-                state.converged = True
+            if state.converged:
                 break
     except IterationLimitError as exc:
         exc.state = state

@@ -72,20 +72,13 @@ class IterationLimitError(RuntimeError):
         self.state = None
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class GapReport:
-    """Primal/dual objective pair with the feasible dual point used."""
+    """Primal and dual objective values and their gap."""
 
     primal: float
     dual: float
     gap: float
-    feasible_dual: np.ndarray
-
-    def __repr__(self):
-        return (
-            f"GapReport(primal={self.primal:.6g}, dual={self.dual:.6g}, "
-            f"gap={self.gap:.3g})"
-        )
 
 
 @dataclass(frozen=True)
@@ -211,9 +204,7 @@ def _gap_and_scores(
     y, norms = _scaled_dual(r, g.entries.T, lam_vec, g.n_orient)
     primal = _primal(r, est.coef, lam_vec[list(est.active_set)], g.n_orient)
     dual = dual_objective(m, y)
-    report = GapReport(primal=primal, dual=dual, gap=primal - dual,
-                       feasible_dual=y)
-    return report, norms
+    return GapReport(primal=primal, dual=dual, gap=primal - dual), norms
 
 
 def duality_gap(m: Measurements, g: BlockDesign, est: BlockSparseEstimate,

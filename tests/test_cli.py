@@ -265,6 +265,23 @@ def test_simulate_config_checks_list_elements(tmp_path, caplog, key, value):
     assert repr(key) in caplog.text
 
 
+@pytest.mark.parametrize("value", [[30], 30, ["30"]])
+def test_simulate_config_list_keys_match_rows(tmp_path, value):
+    # stability keys and metric rows share the float the flag would give
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda_pct": value}))
+    out = tmp_path / "sim"
+    rc = main(["simulate", *SIM_ARGS, "--seed", "1", "--method", "mxne",
+               "--resamples", "2", "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    stability = json.loads((out / "stability.json").read_text())
+    assert list(stability["mxne"]) == ["30.0"]
+    with open(out / "metrics.csv") as fh:
+        assert [row["lambda_pct"] for row in csv.DictReader(fh)] == ["30.0"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["lambda_pct"] == value
+
+
 def test_simulate_draws_each_scenario_once(tmp_path, monkeypatch):
     drawn = []
     generate = cli.generate_scenario

@@ -22,6 +22,7 @@ from bsmx.model import (
 from bsmx.mxne import (
     ConvergenceTrace,
     IterationLimitError,
+    duality_gap,
     lambda_max,
     primal_objective,
     solve_active_set,
@@ -116,6 +117,57 @@ def test_surrogate_drops_block_with_underflowing_weight():
         est = _solve_surrogate(m, g, weights, prev, lam, SolverConfig(),
                                ConvergenceTrace(), 0.0)
     assert est.active_set == (3,)
+
+
+def test_final_estimate_solves_weighted_surrogate_in_both_forms():
+    # n_times > n_sensors, so every reweight runs on compressed data
+    rng = np.random.default_rng(13)
+    m, g, _ = make_instance(rng, n_times=30, noise=0.3)
+    lam = 0.3 * lambda_max(m, g)
+    config = SolverConfig()
+    est, state, _ = solve_irmxne(m, g, lam, config)
+    w = state.weights[-1]
+    cand = np.flatnonzero(w > 0)
+    assert state.iteration >= 2 and 0 < cand.size < g.n_locations
+    pos = {int(s): j for j, s in enumerate(cand)}
+    o = g.n_orient
+    g_c = g.entries[:, g.column_indices(cand)]
+
+    # penalty lam / w on the unscaled design
+    est_c = BlockSparseEstimate.from_blocks(
+        [(pos[s], b) for s, b in zip(est.active_set, est.blocks)],
+        len(cand), o, m.n_times,
+    )
+    direct = duality_gap(m, BlockDesign(g_c, len(cand), o), est_c,
+                         lam / w[cand])
+    # scalar lam on the design scaled by w, blocks divided by w
+    scaled_design = BlockDesign(g_c * np.repeat(w[cand], o)[None, :],
+                                len(cand), o)
+    est_s = BlockSparseEstimate.from_blocks(
+        [(pos[s], b / w[s]) for s, b in zip(est.active_set, est.blocks)],
+        len(cand), o, m.n_times,
+    )
+    scaled = duality_gap(m, scaled_design, est_s, lam)
+
+    for report in (direct, scaled):
+        assert report.gap <= config.gap_tol + 1e-12 * report.primal
+    assert abs(direct.primal - scaled.primal) <= 1e-12 * direct.primal
+    assert abs(direct.gap - scaled.gap) <= 1e-12 * direct.primal
+
+
+def test_first_reweight_solves_on_the_design_itself(monkeypatch):
+    rng = np.random.default_rng(14)
+    m, g, _ = make_instance(rng, noise=0.2)
+    designs = []
+    inner = irmxne.solve_active_set
+
+    def recording(m, g, warm, lam, config, **kwargs):
+        designs.append(g)
+        return inner(m, g, warm, lam, config, **kwargs)
+
+    monkeypatch.setattr(irmxne, "solve_active_set", recording)
+    solve_irmxne(m, g, 0.4 * lambda_max(m, g), SolverConfig())
+    assert designs[0] is g
 
 
 def test_irmxne_empty_at_lambda_max():

@@ -3,12 +3,17 @@
 Thin shell over the library: ``solve`` runs the solvers on matrices from
 disk, ``simulate`` runs the synthetic study, ``benchmark`` compares solver
 variants on one instance, and ``check`` recomputes objectives and the gap
-for a stored estimate. Every run writes a manifest recording the resolved
-configuration, input digests, seeds, and wall time.
+for a stored estimate. Every run but ``check`` writes a manifest
+recording the resolved configuration, input digests, seeds, and wall time.
 
-Option precedence: command-line flags > JSON config file (``--config``) >
-built-in defaults. Exit codes: 0 success, 2 parse or dimension errors,
-3 solver failure (iteration cap exceeded).
+Each option is defined once, in :func:`build_parser`. A JSON config file
+(``--config``) sets options by their dest names (``lam`` for ``--lambda``,
+``lambda_pct``, ``n_orient``, ...), converted as the flags are: a
+repeatable option takes one value or a list, a switch ``true`` or
+``false``, and a key that is no option of the command is an error.
+Option precedence: command-line flags > config file > built-in defaults.
+Exit codes: 0 success, 2 parse or dimension errors, 3 solver failure
+(iteration cap exceeded).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -58,24 +63,9 @@ from .sim import (
 log = logging.getLogger("bsmx")
 
 BENCH_METHODS = ("bcd_as", "bcd_full", "pgd_as", "pgd_full")
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every command's outputs."""
-
-    command: str
-    config: dict
-    inputs: dict = field(default_factory=dict)
-    library_version: str = __version__
-    rng_seeds: List[int] = field(default_factory=list)
-    wall_time_s: float = 0.0
-
-    def write(self, outdir):
-        path = os.path.join(outdir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2)
-            fh.write("\n")
+# ScenarioSpec fields that simulate takes as options
+SCENARIO_OPTIONS = ("n_sensors", "n_locations", "n_orient", "n_times",
+                    "n_trials", "n_noise_dipoles")
 
 
 def _sha256(path) -> str:
@@ -84,6 +74,23 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _write_manifest(args, t_start, rng_seeds, inputs=(), **extra):
+    """Write ``manifest.json``, the reproducibility record of a run, into
+    ``args.out``: its resolved options (and ``extra``), the digests of its
+    ``inputs`` files, its seeds and its wall time since ``t_start``."""
+    manifest = {
+        "command": args.command,
+        "config": {**args.resolved, **extra},
+        "inputs": {path: _sha256(path) for path in inputs},
+        "library_version": __version__,
+        "rng_seeds": rng_seeds,
+        "wall_time_s": time.perf_counter() - t_start,
+    }
+    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
 
 
 def _load_config_file(path) -> dict:
@@ -96,57 +103,70 @@ def _load_config_file(path) -> dict:
     return cfg
 
 
-def _typed(key, value, kind):
-    """``value`` of option ``key``, converted as its flag would convert it.
-    A switch (``kind`` is ``bool``) takes only a JSON boolean."""
-    if kind is bool and isinstance(value, bool):
-        return value
-    if kind is not bool and type(value) in (str, int, float):
+def _options(parser) -> dict:
+    """The options of a command that a config file may set, by dest: every
+    flag but ``--help``, ``--config`` and the required paths."""
+    return {a.dest: a for a in parser._actions
+            if a.option_strings and not a.required
+            and a.dest not in ("help", "config")}
+
+
+def _config_value(action, key, value):
+    """``value`` of option ``key`` from the config file, converted as the
+    option's flag would convert it. A switch takes only a JSON boolean
+    (``false`` leaves it unset); a repeatable option takes one value or a
+    list and gives a list."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return action.const if value else None
+    else:
+        repeats = isinstance(action, argparse._AppendAction)
+        items = value if repeats and isinstance(value, list) else [value]
         try:
-            return kind(str(value))
+            if all(type(item) in (str, int, float) for item in items):
+                items = [(action.type or str)(str(item)) for item in items]
+                if all(action.choices is None or item in action.choices
+                       for item in items):
+                    return items if repeats else items[0]
         except ValueError:
             pass
-    raise ValueError(f"option {key!r} must be a {kind.__name__}, got {value!r}")
+    raise ValueError(f"option {key!r}: invalid value {value!r}")
 
 
-class _Options:
-    """Layered option lookup: CLI flag, then config file, then default."""
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """The options a command runs with: each takes its flag's value, else
+    the ``--config`` file's, else its default. ``args.resolved`` maps every
+    option to that value, for the manifest.
 
-    def __init__(self, args, cfg):
-        self.args = args
-        self.cfg = cfg
-        self.resolved = {}
-
-    def get(self, key, default=None, kind=None):
-        """The option's value; one from the config file or the default is
-        converted by ``kind`` (see :func:`_typed`) unless it is None."""
-        value = getattr(self.args, key, None)
-        if value is None:
-            value = self.cfg.get(key, default)
-            if kind is not None and value is not None:
-                value = _typed(key, value, kind)
-        self.resolved[key] = value
-        return value
-
-    def get_list(self, key, kind):
-        """A list-valued option, or None if unset. The config file may give
-        one value for a one-element list. Every element is converted by
-        ``kind`` (``int``, ``float`` or ``str``) as the flag would convert
-        it; the manifest keeps the list as given."""
-        value = self.get(key)
-        if value is None:
-            return None
-        if isinstance(value, (str, int, float)):
-            value = [value]
-        elif not isinstance(value, list):
-            raise ValueError(
-                f"option {key!r} must be a value or a list, got {value!r}"
-            )
-        return [_typed(key, item, kind) for item in value]
+    The flags are parsed into a namespace that presets every option to
+    None, so argparse applies no default (nor appends a repeated flag to a
+    default list), and an option still None was not given.
+    """
+    parser = build_parser()
+    command = parser.parse_args(argv).command
+    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    options = _options(sub)
+    # argv[0] is the command: the only top-level options exit
+    args = sub.parse_args(argv[1:], argparse.Namespace(
+        command=command, **dict.fromkeys(options)))
+    cfg = _load_config_file(args.config)
+    for key, value in cfg.items():
+        if key not in options:
+            raise ValueError(f"{args.config}: {key!r} is not an option of "
+                             f"{command}")
+        cfg[key] = _config_value(options[key], key, value)
+    for dest, action in options.items():
+        if getattr(args, dest) is None:
+            value = cfg.get(dest)
+            setattr(args, dest, action.default if value is None else value)
+    args.resolved = {dest: getattr(args, dest) for dest in options}
+    return args
 
 
 def _fresh_seed() -> int:
-    return int(np.random.SeedSequence().entropy % (2 ** 32))
+    seed = int(np.random.SeedSequence().entropy % (2 ** 32))
+    log.info("no seed given; generated %d", seed)
+    return seed
 
 
 def _read_gain_and_data(gain_path, data_path, n_orient):
@@ -167,59 +187,52 @@ def _read_gain_and_data(gain_path, data_path, n_orient):
 
 
 def _load_problem(args):
-    """Options, data, transformed design, depth weights and lambda of a
-    ``solve`` or ``check`` run.
+    """Data, transformed design, depth weights and lambda of a ``solve`` or
+    ``check`` run.
 
     The design is weighted by orientation (``--loose``) and then by depth
     (``--depth``); a fractional lambda resolves against the weighted design.
     """
-    opts = _Options(args, _load_config_file(args.config))
-    n_orient = opts.get("n_orient", 1, int)
-    design, data = _read_gain_and_data(args.gain, args.data, n_orient)
-    loose, depth = opts.get("loose", kind=float), opts.get("depth", kind=float)
-    if loose is not None:
-        design = apply_loose_orientation(design, loose)
+    design, data = _read_gain_and_data(args.gain, args.data, args.n_orient)
+    if args.loose is not None:
+        design = apply_loose_orientation(design, args.loose)
     depth_weights = None
-    if depth is not None and depth > 0:
-        design, depth_weights = apply_depth_weights(design, depth)
+    if args.depth is not None and args.depth > 0:
+        design, depth_weights = apply_depth_weights(design, args.depth)
 
-    lam = opts.get("lam", kind=float)
-    lam_pct = opts.get("lambda_pct", kind=float)
-    if (lam is None) == (lam_pct is None):
+    lam = args.lam
+    if (lam is None) == (args.lambda_pct is None):
         raise ValueError("give exactly one of --lambda or --lambda-pct")
     if lam is None:
-        lam = lam_pct / 100.0 * lambda_max(data, design)
-    return opts, data, design, depth_weights, lam
+        lam = args.lambda_pct / 100.0 * lambda_max(data, design)
+    return data, design, depth_weights, lam
 
 
-def _solver_config(opts) -> SolverConfig:
-    """``SolverConfig`` from the options, each field defaulting to the
-    dataclass's own default."""
-    return SolverConfig(**{f.name: opts.get(f.name, f.default, type(f.default))
+def _solver_config(args) -> SolverConfig:
+    """``SolverConfig`` from the resolved options."""
+    return SolverConfig(**{f.name: getattr(args, f.name)
                            for f in fields(SolverConfig)})
 
 
 def _add_solver_options(parser):
-    """One flag per ``SolverConfig`` field, typed as its default."""
+    """One flag per ``SolverConfig`` field, typed as its default and
+    defaulting to it."""
     for f in fields(SolverConfig):
-        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                            type=type(f.default))
+        parser.add_argument("--" + f.name.replace("_", "-"),
+                            type=type(f.default), default=f.default)
 
 
 def cmd_solve(args) -> int:
     t_start = time.perf_counter()
-    opts, data, design, depth_weights, lam = _load_problem(args)
-    config = _solver_config(opts)
-    method = opts.get("method", "mxne", str)
+    data, design, depth_weights, lam = _load_problem(args)
+    config = _solver_config(args)
 
     os.makedirs(args.out, exist_ok=True)
     state = None
-    if method == "mxne":
+    if args.method == "mxne":
         est, trace = solve_active_set(data, design, None, lam, config)
-    elif method == "irmxne":
-        est, state, trace = solve_irmxne(data, design, lam, config)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        est, state, trace = solve_irmxne(data, design, lam, config)
 
     est_out = undo_depth_weights(est, depth_weights) if depth_weights else est
     io.write_estimate(os.path.join(args.out, "estimate.json"), est_out)
@@ -227,7 +240,7 @@ def cmd_solve(args) -> int:
     if state is not None:
         state.to_json(os.path.join(args.out, "reweight_state.json"))
 
-    if opts.get("debias", False, bool):
+    if args.debias:
         if est.n_active == 0:
             log.info("estimate is empty; skipping debiasing")
         else:
@@ -241,16 +254,10 @@ def cmd_solve(args) -> int:
 
     log.info(
         "solved method=%s lam=%.6g active=%d gap=%.3e",
-        method, lam, est.n_active, trace.final.gap,
+        args.method, lam, est.n_active, trace.final.gap,
     )
-    manifest = RunManifest(
-        command="solve",
-        config={**opts.resolved, "resolved_lambda": lam},
-        inputs={args.gain: _sha256(args.gain), args.data: _sha256(args.data)},
-        rng_seeds=[args.seed] if args.seed is not None else [],
-        wall_time_s=time.perf_counter() - t_start,
-    )
-    manifest.write(args.out)
+    _write_manifest(args, t_start, [] if args.seed is None else [args.seed],
+                    inputs=(args.gain, args.data), resolved_lambda=lam)
     return 0
 
 
@@ -304,39 +311,23 @@ def _simulate_task(payload: dict) -> Tuple[List[dict], Optional[dict]]:
 
 def cmd_simulate(args) -> int:
     t_start = time.perf_counter()
-    cfg = _load_config_file(args.config)
-    opts = _Options(args, cfg)
-
-    seeds = opts.get_list("seed", int)
-    if not seeds:
-        seeds = [_fresh_seed()]
-        log.info("no seed given; generated %d", seeds[0])
-    lambda_pcts = opts.get_list("lambda_pct", float) or [50.0]
-    methods = opts.get_list("method", str) or ["mxne"]
-    jobs = opts.get("jobs", kind=int) or int(os.environ.get("BSMX_JOBS", "1"))
-
-    spec_defaults = {f.name: f.default for f in fields(ScenarioSpec)}
-    scenario_params = {
-        name: opts.get(name, spec_defaults[name], int)
-        for name in ("n_sensors", "n_locations", "n_orient", "n_times",
-                     "n_trials", "n_noise_dipoles")
-    }
-    debias = bool(opts.get("debias", False, bool))
-    config = _solver_config(opts)
+    seeds = args.seed or [_fresh_seed()]
+    jobs = args.jobs or int(os.environ.get("BSMX_JOBS", "1"))
+    scenario_params = {name: getattr(args, name) for name in SCENARIO_OPTIONS}
+    config = _solver_config(args)
     # a count below one runs no stability pass
-    n_resamples = max(opts.get("resamples", 0, int) or 0, 0)
-    fraction = opts.get("resample_fraction", 0.8, float) if n_resamples else None
+    n_resamples = max(args.resamples, 0)
     # stability is assessed on the first seed's scenario, inside its task
     payloads = [
         {
             "seed": seed,
             "scenario": scenario_params,
-            "lambda_pcts": lambda_pcts,
+            "lambda_pcts": args.lambda_pct,
             "config": config,
-            "methods": methods,
-            "debias": debias,
+            "methods": args.method,
+            "debias": args.debias,
             "resamples": n_resamples if i == 0 else 0,
-            "resample_fraction": fraction,
+            "resample_fraction": args.resample_fraction,
         }
         for i, seed in enumerate(seeds)
     ]
@@ -363,13 +354,7 @@ def cmd_simulate(args) -> int:
             json.dump(stability, fh)
             fh.write("\n")
 
-    manifest = RunManifest(
-        command="simulate",
-        config=opts.resolved,
-        rng_seeds=seeds,
-        wall_time_s=time.perf_counter() - t_start,
-    )
-    manifest.write(args.out)
+    _write_manifest(args, t_start, seeds)
     log.info("wrote %d metric rows to %s", len(rows), args.out)
     return 0
 
@@ -394,71 +379,39 @@ def _run_benchmark_method(name, m, design, lam, config):
 
 def cmd_benchmark(args) -> int:
     t_start = time.perf_counter()
-    cfg = _load_config_file(args.config)
-    opts = _Options(args, cfg)
-
-    seed = opts.get("seed", kind=int)
-    if seed is None:
-        seed = _fresh_seed()
-        log.info("no seed given; generated %d", seed)
+    seed = _fresh_seed() if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     m, design, _ = random_instance(
-        rng,
-        opts.get("n_sensors", 50, int),
-        opts.get("n_locations", 2000, int),
-        opts.get("n_orient", 3, int),
-        opts.get("n_times", 20, int),
-        n_active=5,
-        noise=0.05,
+        rng, args.n_sensors, args.n_locations, args.n_orient, args.n_times,
+        n_active=5, noise=0.05,
     )
     lam_top = lambda_max(m, design)
-    lambda_pcts = (opts.get_list("lambda_pct", float)
-                   or [40.0, 50.0, 60.0, 70.0, 80.0, 90.0])
-    methods = opts.get_list("methods", str) or list(BENCH_METHODS)
-    # the flag gives one comma-separated string
-    names = [name.strip() for entry in methods for name in entry.split(",")]
+    # each entry may be a comma-separated list
+    names = [name.strip() for entry in args.methods for name in entry.split(",")]
     method_list = [name for name in names if name]
-    config = _solver_config(opts)
+    config = _solver_config(args)
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for pct in lambda_pcts:
+    for pct in args.lambda_pct:
         lam = pct / 100.0 * lam_top
         for name in method_list:
             seconds, final_gap = _run_benchmark_method(name, m, design, lam,
                                                        config)
             log.info("benchmark %s lambda_pct=%g: %.3fs gap=%.2e",
                      name, pct, seconds, final_gap)
-            rows.append({
-                "method": name,
-                "lambda_pct": pct,
-                "seconds": seconds,
-                "final_gap": final_gap,
-            })
+            rows.append([name, pct, f"{seconds:.6f}", f"{final_gap:.6e}"])
 
     with open(os.path.join(args.out, "timings.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["method", "lambda_pct", "seconds", "final_gap"]
-        )
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({
-                **row,
-                "seconds": f"{row['seconds']:.6f}",
-                "final_gap": f"{row['final_gap']:.6e}",
-            })
+        writer = csv.writer(fh)
+        writer.writerow(["method", "lambda_pct", "seconds", "final_gap"])
+        writer.writerows(rows)
 
-    manifest = RunManifest(
-        command="benchmark",
-        config=opts.resolved,
-        rng_seeds=[seed],
-        wall_time_s=time.perf_counter() - t_start,
-    )
-    manifest.write(args.out)
+    _write_manifest(args, t_start, [seed])
     return 0
 
 
 def cmd_check(args) -> int:
-    _, data, design, depth_weights, lam = _load_problem(args)
+    data, design, depth_weights, lam = _load_problem(args)
 
     est = io.read_estimate(args.estimate)
     if est.n_locations != design.n_locations:
@@ -494,15 +447,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file (flags win)")
-
     def add_problem(p):
         p.add_argument("--gain", required=True)
         p.add_argument("--data", required=True)
-        p.add_argument("--n-orient", dest="n_orient", type=int)
+        p.add_argument("--n-orient", type=int, default=1)
         p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--lambda-pct", dest="lambda_pct", type=float)
+        p.add_argument("--lambda-pct", type=float)
         p.add_argument("--loose", type=float,
                        help="tangential orientation weight in (0, 1]")
         p.add_argument("--depth", type=float,
@@ -510,48 +460,47 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a problem from matrix files")
     add_problem(p_solve)
-    p_solve.add_argument("--method", choices=["mxne", "irmxne"])
-    p_solve.add_argument("--debias", action="store_const", const=True)
+    p_solve.add_argument("--method", choices=["mxne", "irmxne"], default="mxne")
+    p_solve.add_argument("--debias", action="store_const", const=True,
+                         default=False)
     p_solve.add_argument("--seed", type=int)
     p_solve.add_argument("--out", required=True)
-    add_common(p_solve)
     _add_solver_options(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_sim = sub.add_parser("simulate", help="run the synthetic study")
     p_sim.add_argument("--seed", type=int, action="append")
-    p_sim.add_argument("--n-sensors", dest="n_sensors", type=int)
-    p_sim.add_argument("--n-locations", dest="n_locations", type=int)
-    p_sim.add_argument("--n-orient", dest="n_orient", type=int)
-    p_sim.add_argument("--n-times", dest="n_times", type=int)
-    p_sim.add_argument("--n-trials", dest="n_trials", type=int)
-    p_sim.add_argument("--n-noise-dipoles", dest="n_noise_dipoles", type=int)
-    p_sim.add_argument("--lambda-pct", dest="lambda_pct", type=float,
-                       action="append")
-    p_sim.add_argument("--method", choices=["mxne", "irmxne"], action="append")
-    p_sim.add_argument("--debias", action="store_const", const=True)
-    p_sim.add_argument("--resamples", type=int)
-    p_sim.add_argument("--resample-fraction", dest="resample_fraction",
-                       type=float)
+    spec = {f.name: f.default for f in fields(ScenarioSpec)}
+    for name in SCENARIO_OPTIONS:
+        p_sim.add_argument("--" + name.replace("_", "-"), type=int,
+                           default=spec[name])
+    p_sim.add_argument("--lambda-pct", type=float, action="append",
+                       default=[50.0])
+    p_sim.add_argument("--method", choices=["mxne", "irmxne"], action="append",
+                       default=["mxne"])
+    p_sim.add_argument("--debias", action="store_const", const=True,
+                       default=False)
+    p_sim.add_argument("--resamples", type=int, default=0)
+    p_sim.add_argument("--resample-fraction", type=float, default=0.8)
     p_sim.add_argument("--jobs", type=int,
                        help="worker processes (default: BSMX_JOBS or 1)")
     p_sim.add_argument("--out", required=True)
-    add_common(p_sim)
     _add_solver_options(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bench = sub.add_parser("benchmark", help="time solver variants")
     p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--n-sensors", dest="n_sensors", type=int)
-    p_bench.add_argument("--n-locations", dest="n_locations", type=int)
-    p_bench.add_argument("--n-orient", dest="n_orient", type=int)
-    p_bench.add_argument("--n-times", dest="n_times", type=int)
-    p_bench.add_argument("--lambda-pct", dest="lambda_pct", type=float,
-                         action="append")
-    p_bench.add_argument("--methods",
-                         help=f"comma list from {','.join(BENCH_METHODS)}")
+    p_bench.add_argument("--n-sensors", type=int, default=50)
+    p_bench.add_argument("--n-locations", type=int, default=2000)
+    p_bench.add_argument("--n-orient", type=int, default=3)
+    p_bench.add_argument("--n-times", type=int, default=20)
+    p_bench.add_argument("--lambda-pct", type=float, action="append",
+                         default=[40.0, 50.0, 60.0, 70.0, 80.0, 90.0])
+    p_bench.add_argument("--methods", action="append",
+                         default=list(BENCH_METHODS),
+                         help=f"comma list from {','.join(BENCH_METHODS)}; "
+                              "repeatable")
     p_bench.add_argument("--out", required=True)
-    add_common(p_bench)
     _add_solver_options(p_bench)
     p_bench.set_defaults(func=cmd_benchmark)
 
@@ -560,8 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_problem(p_check)
     p_check.add_argument("--estimate", required=True)
-    add_common(p_check)
     p_check.set_defaults(func=cmd_check)
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON config file (flags win)")
 
     return parser
 
@@ -570,9 +520,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = _parse_args(argv)
         return args.func(args)
     except IterationLimitError as exc:
         log.error("solver failed: %s", exc)

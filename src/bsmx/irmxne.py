@@ -156,12 +156,19 @@ def _solve_surrogate(
         warm = _unpack(prev.coef[kept], np.arange(len(cand)), len(cand),
                        n_orient)
 
-    sub_sol, _ = solve_active_set(
-        m, sub_design, warm, lam / weights[cand], config, trace=trace,
-        time_origin=t0,
-    )
-    return _unpack(sub_sol.coef, cand[list(sub_sol.active_set)],
-                   g.n_locations, n_orient)
+    def full(sub: BlockSparseEstimate) -> BlockSparseEstimate:
+        return _unpack(sub.coef, cand[list(sub.active_set)], g.n_locations,
+                       n_orient)
+
+    try:
+        sub_sol, _ = solve_active_set(
+            m, sub_design, warm, lam / weights[cand], config, trace=trace,
+            time_origin=t0,
+        )
+    except IterationLimitError as exc:
+        exc.estimate = full(exc.estimate)
+        raise
+    return full(sub_sol)
 
 
 def solve_irmxne(

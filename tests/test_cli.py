@@ -279,7 +279,7 @@ def test_simulate_config_list_keys_match_rows(tmp_path, value):
     with open(out / "metrics.csv") as fh:
         assert [row["lambda_pct"] for row in csv.DictReader(fh)] == ["30.0"]
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["lambda_pct"] == value
+    assert manifest["config"]["lambda_pct"] == [30.0]
 
 
 def test_simulate_draws_each_scenario_once(tmp_path, monkeypatch):
@@ -469,17 +469,137 @@ def test_check_rejects_solver_flags(problem_files, tmp_path):
 
 
 def test_solver_options_match_config_fields():
-    """The SolverConfig fields, the solver flags and the keys the config
+    """The SolverConfig fields, the solver flags and the options the config
     builder reads are one set: no flag is dead and no field unreachable."""
     names = {f.name for f in dataclasses.fields(SolverConfig)}
     parser = argparse.ArgumentParser()
     cli._add_solver_options(parser)
     flags = {action.dest for action in parser._actions} - {"help"}
-    opts = cli._Options(argparse.Namespace(), {})
-    assert cli._solver_config(opts) == SolverConfig()
-    assert flags == names == set(opts.resolved)
+    args = parser.parse_args([])
+    assert flags == names == set(vars(args))
+    assert cli._solver_config(args) == SolverConfig()
     for command in (["solve", "--gain", "g", "--data", "d"], ["simulate"],
                     ["benchmark"]):
-        args = cli.build_parser().parse_args(
-            [*command, "--out", "o", "--max-reweight", "7"])
-        assert cli._solver_config(cli._Options(args, {})).max_reweight == 7
+        args = cli._parse_args([*command, "--out", "o", "--max-reweight", "7"])
+        assert names <= set(args.resolved)
+        assert cli._solver_config(args).max_reweight == 7
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def _config_options(command):
+    """Every option of the command a config file may set: all flags but
+    --help, --config and the required paths."""
+    return [a for a in _subcommands()[command]._actions
+            if a.option_strings and not a.required
+            and a.dest not in ("help", "config")]
+
+
+def _sample(action):
+    """A valid value of the option that is not its default."""
+    if action.nargs == 0:
+        return True
+    if action.choices:
+        return action.choices[-1]
+    default = action.default
+    if isinstance(default, list):
+        default = default[-1]
+    if action.type is int:
+        return default + 1 if default else 2
+    if action.type is float:
+        return default / 2 if default else 0.5
+    return default
+
+
+def _base_options(command, tmp_path):
+    """Small valid runs of each command, as dest -> flag tokens."""
+    if command in ("solve", "check"):
+        rng = np.random.default_rng(4)
+        m, g, _ = random_instance(rng, 15, 10, 3, 8, n_active=2, noise=0.1)
+        gain, data = tmp_path / "gain.csv", tmp_path / "data.csv"
+        io.write_matrix_csv(gain, g.entries)
+        io.write_matrix_csv(data, m.entries)
+        base = {"gain": ["--gain", str(gain)], "data": ["--data", str(data)],
+                "n_orient": ["--n-orient", "3"],
+                "lambda_pct": ["--lambda-pct", "40"]}
+        if command == "check":
+            path = tmp_path / "estimate.json"
+            io.write_estimate(path, BlockSparseEstimate.empty(10, 3, 8))
+            base["estimate"] = ["--estimate", str(path)]
+        return base
+    if command == "simulate":
+        base = {SIM_ARGS[i][2:].replace("-", "_"): SIM_ARGS[i:i + 2]
+                for i in range(0, len(SIM_ARGS), 2)}
+        return {**base, "seed": ["--seed", "1"]}
+    return {"seed": ["--seed", "5"], "n_sensors": ["--n-sensors", "20"],
+            "n_locations": ["--n-locations", "40"],
+            "n_orient": ["--n-orient", "1"], "n_times": ["--n-times", "5"],
+            "lambda_pct": ["--lambda-pct", "50"],
+            "methods": ["--methods", "bcd_as"]}
+
+
+@pytest.mark.parametrize("command, dest", [
+    (command, action.dest) for command in ("solve", "simulate", "benchmark",
+                                           "check")
+    for action in _config_options(command)
+])
+def test_option_as_flag_matches_config_key(tmp_path, command, dest):
+    action = next(a for a in _config_options(command) if a.dest == dest)
+    value = _sample(action)
+    base = _base_options(command, tmp_path)
+    base.pop(dest, None)
+    if dest == "lam":
+        base.pop("lambda_pct")  # give exactly one lambda
+    argv = [command, *sum(base.values(), [])]
+    flag = action.option_strings[:1]
+    if value is not True:
+        flag.append(str(value))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({dest: value}))
+    runs = {"flag": flag, "file": ["--config", str(cfg)]}
+    if command != "check":
+        runs = {name: [*extra, "--out", str(tmp_path / name)]
+                for name, extra in runs.items()}
+    resolved = {name: cli._parse_args([*argv, *extra]).resolved
+                for name, extra in runs.items()}
+    assert resolved["flag"] == resolved["file"]
+    assert resolved["flag"][dest] != action.default
+    if command == "check":
+        return
+    manifests = {}
+    for name, extra in runs.items():
+        assert main([*argv, *extra]) == 0
+        manifests[name] = json.loads((tmp_path / name / "manifest.json")
+                                     .read_text())
+    assert manifests["flag"]["config"] == manifests["file"]["config"]
+    assert manifests["file"]["config"][dest] == resolved["file"][dest]
+    if (command, dest) == ("solve", "seed"):
+        assert manifests["file"]["rng_seeds"] == [value]
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "benchmark", "check"])
+def test_config_rejects_unknown_key(tmp_path, caplog, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lamda_pct": [30], "lambda_pct": 50}))
+    argv = [command, *sum(_base_options(command, tmp_path).values(), []),
+            "--config", str(cfg)]
+    if command != "check":
+        argv += ["--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert "'lamda_pct'" in caplog.text
+    assert not (tmp_path / "run").exists()
+
+
+def test_benchmark_repeated_methods_flag_matches_config(tmp_path):
+    out = tmp_path / "bench"
+    rc = main(["benchmark", "--seed", "5", "--n-sensors", "20",
+               "--n-locations", "40", "--n-orient", "1", "--n-times", "5",
+               "--lambda-pct", "50", "--methods", "bcd_as",
+               "--methods", "pgd_as", "--out", str(out)])
+    assert rc == 0
+    with open(out / "timings.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["method"] for row in rows] == ["bcd_as", "pgd_as"]

@@ -330,6 +330,7 @@ def test_iteration_limit_carries_reweight_state(monkeypatch):
     assert len(state.weights) == 2
     assert np.array_equal(state.weights[0], np.ones(g.n_locations))
     assert not state.converged
+    assert info.value.estimate.n_locations == g.n_locations
 
 
 def test_reweight_state_json(tmp_path):

@@ -182,7 +182,8 @@ def _read_gain_and_data(gain_path, data_path, n_orient):
             f"{data_path}: has {data.shape[0]} rows, expected "
             f"{gain.shape[0]} to match {gain_path}"
         )
-    design = BlockDesign(gain, gain.shape[1] // n_orient, n_orient)
+    # the design adopts the array just read: one copy of the gain
+    design = BlockDesign._adopt(gain, gain.shape[1] // n_orient, n_orient)
     return design, Measurements(data)
 
 
@@ -191,14 +192,16 @@ def _load_problem(args):
     ``check`` run.
 
     The design is weighted by orientation (``--loose``) and then by depth
-    (``--depth``); a fractional lambda resolves against the weighted design.
+    (``--depth``), each in place on the gain as read; a fractional lambda
+    resolves against the weighted design.
     """
     design, data = _read_gain_and_data(args.gain, args.data, args.n_orient)
     if args.loose is not None:
-        design = apply_loose_orientation(design, args.loose)
+        design = apply_loose_orientation(design, args.loose, copy=False)
     depth_weights = None
     if args.depth is not None and args.depth > 0:
-        design, depth_weights = apply_depth_weights(design, args.depth)
+        design, depth_weights = apply_depth_weights(design, args.depth,
+                                                    copy=False)
 
     lam = args.lam
     if (lam is None) == (args.lambda_pct is None):
@@ -368,10 +371,8 @@ def _run_benchmark_method(name, m, design, lam, config):
                            max_iter=config.max_bcd_iter)
     elif name == "pgd_as":
         est, _ = solve_active_set(m, design, None, lam, config, inner="pgd")
-    elif name == "pgd_full":
-        est = solve_proximal_gradient(m, design, lam, config.gap_tol)
     else:
-        raise ValueError(f"unknown benchmark method {name!r}")
+        est = solve_proximal_gradient(m, design, lam, config.gap_tol)
     seconds = time.perf_counter() - t0
     final_gap = duality_gap(m, design, est, lam).gap
     return seconds, final_gap
@@ -379,6 +380,14 @@ def _run_benchmark_method(name, m, design, lam, config):
 
 def cmd_benchmark(args) -> int:
     t_start = time.perf_counter()
+    # each entry may be a comma-separated list; every name is checked
+    # before anything runs or is written
+    names = [name.strip() for entry in args.methods for name in entry.split(",")]
+    method_list = [name for name in names if name]
+    for name in method_list:
+        if name not in BENCH_METHODS:
+            raise ValueError(f"unknown benchmark method {name!r}; expected "
+                             f"one of {', '.join(BENCH_METHODS)}")
     seed = _fresh_seed() if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     m, design, _ = random_instance(
@@ -386,9 +395,6 @@ def cmd_benchmark(args) -> int:
         n_active=5, noise=0.05,
     )
     lam_top = lambda_max(m, design)
-    # each entry may be a comma-separated list
-    names = [name.strip() for entry in args.methods for name in entry.split(",")]
-    method_list = [name for name in names if name]
     config = _solver_config(args)
     os.makedirs(args.out, exist_ok=True)
     rows = []

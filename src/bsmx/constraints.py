@@ -49,12 +49,30 @@ class DepthWeights:
         )
 
 
-def apply_loose_orientation(g: BlockDesign, rho: float) -> BlockDesign:
+def _scale_columns(g: BlockDesign, factors: np.ndarray,
+                   copy: bool) -> BlockDesign:
+    """``g`` with column ``j`` multiplied by ``factors[j]``; with
+    ``copy=False`` the product overwrites ``g``'s own array."""
+    if copy:
+        arr = g.entries * factors[None, :]
+    else:
+        arr = g.entries
+        arr.setflags(write=True)
+        arr *= factors[None, :]
+    return BlockDesign._adopt(arr, g.n_locations, g.n_orient)
+
+
+def apply_loose_orientation(g: BlockDesign, rho: float, *,
+                            copy: bool = True) -> BlockDesign:
     """Scale the tangential columns of every block by ``rho``.
 
     Data layout contract: the first column of each block is the normal
     direction; columns 2 and 3 are the tangential directions. Requires
     three orientations per block. ``rho = 1`` is the identity.
+
+    ``copy=False`` scales ``g``'s array in place and returns a design over
+    it, for a caller that holds the only reference to ``g`` and drops it:
+    the weighted design then takes no second copy of the matrix.
     """
     if not 0 < rho <= 1:
         raise ValueError("rho must lie in (0, 1]")
@@ -63,10 +81,10 @@ def apply_loose_orientation(g: BlockDesign, rho: float) -> BlockDesign:
             f"loose orientation weighting requires n_orient=3, got {g.n_orient}"
         )
     factors = np.tile([1.0, rho, rho], g.n_locations)
-    return BlockDesign(g.entries * factors[None, :], g.n_locations, g.n_orient)
+    return _scale_columns(g, factors, copy)
 
 
-def apply_depth_weights(g: BlockDesign, gamma: float):
+def apply_depth_weights(g: BlockDesign, gamma: float, *, copy: bool = True):
     """Rescale each block to compensate depth-dependent sensitivity.
 
     Block ``s`` is multiplied by ``sigma_max(G_s) ** (-gamma)``, where
@@ -74,7 +92,8 @@ def apply_depth_weights(g: BlockDesign, gamma: float):
     the identity and ``gamma = 1`` normalizes every block to unit spectral
     norm. Note this scale family is one standard instantiation of
     SVD-based depth compensation, exposed through ``gamma`` so the
-    strength is tunable.
+    strength is tunable. ``copy=False`` scales ``g``'s array in place, as
+    in :func:`apply_loose_orientation`.
 
     Returns
     -------
@@ -93,8 +112,7 @@ def apply_depth_weights(g: BlockDesign, gamma: float):
     sigma = np.sqrt(lips)
     scale = sigma ** (-gamma)
     weights = DepthWeights(gamma=gamma, per_location_scale=scale)
-    factors = np.repeat(scale, g.n_orient)
-    weighted = BlockDesign(g.entries * factors[None, :], g.n_locations, g.n_orient)
+    weighted = _scale_columns(g, np.repeat(scale, g.n_orient), copy)
     return weighted, weights
 
 

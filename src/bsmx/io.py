@@ -43,21 +43,26 @@ def write_matrix_binary(path, a: np.ndarray):
 
 
 def read_matrix(path) -> np.ndarray:
-    """Load a matrix, sniffing the binary magic; CSV otherwise."""
+    """Load a matrix, sniffing the binary magic; CSV otherwise.
+
+    A binary payload is read straight into the returned array, so a load
+    holds one copy of the matrix.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if head[:4] == MAGIC:
             if len(head) < _HEADER.size:
                 raise ValueError(f"{path}: truncated binary matrix header")
             _, rows, cols = _HEADER.unpack(head)
-            payload = fh.read()
-            expected = rows * cols * 8
-            if len(payload) != expected:
+            out = np.empty((rows, cols), dtype="<f8")
+            size = fh.readinto(out.reshape(-1).view(np.uint8))
+            size += len(fh.read())
+            if size != out.nbytes:
                 raise ValueError(
-                    f"{path}: binary matrix payload is {len(payload)} bytes, "
-                    f"expected {expected} for a {rows}x{cols} matrix"
+                    f"{path}: binary matrix payload is {size} bytes, "
+                    f"expected {out.nbytes} for a {rows}x{cols} matrix"
                 )
-            return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(float)
+            return out.astype(float, copy=False)
     try:
         return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except ValueError as exc:

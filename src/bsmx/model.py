@@ -28,8 +28,8 @@ __all__ = [
 ]
 
 
-def _readonly_matrix(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float, order="C")
+def _readonly_matrix(values, name: str, copy: bool = True) -> np.ndarray:
+    arr = (np.array if copy else np.asarray)(values, dtype=float, order="C")
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
@@ -57,10 +57,10 @@ class BlockDesign:
     n_locations: int
     n_orient: int
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         if self.n_locations < 1 or self.n_orient < 1:
             raise ValueError("n_locations and n_orient must be positive")
-        arr = _readonly_matrix(self.entries, "design matrix")
+        arr = _readonly_matrix(self.entries, "design matrix", copy)
         expected = self.n_locations * self.n_orient
         if arr.shape[1] != expected:
             raise ValueError(
@@ -68,6 +68,23 @@ class BlockDesign:
                 f"n_locations * n_orient = {expected}"
             )
         object.__setattr__(self, "entries", arr)
+
+    @classmethod
+    def _adopt(cls, entries: np.ndarray, n_locations: int,
+               n_orient: int) -> "BlockDesign":
+        """Design over ``entries`` itself, without the constructor's copy.
+
+        For a fresh array that the caller hands over and no longer writes
+        to: a C-contiguous float64 matrix is kept as it is (anything else
+        is converted), checked as the constructor checks it and marked
+        read-only.
+        """
+        design = cls.__new__(cls)
+        object.__setattr__(design, "entries", entries)
+        object.__setattr__(design, "n_locations", n_locations)
+        object.__setattr__(design, "n_orient", n_orient)
+        design.__post_init__(copy=False)
+        return design
 
     @property
     def n_sensors(self) -> int:

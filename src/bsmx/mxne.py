@@ -54,6 +54,8 @@ _RESYNC_EVERY = 50
 _INNER_TOL_RATIO = 0.3
 # solve_bcd extrapolates its iterates after every this many sweeps
 _ANDERSON_K = 5
+# locations per G^T R product when scoring: bounds the product's temporary
+_SCORE_CHUNK = 1024
 
 
 class IterationLimitError(RuntimeError):
@@ -145,6 +147,17 @@ def _primal(r: np.ndarray, coef: np.ndarray, lam_vec: np.ndarray,
     return 0.5 * float((r * r).sum()) + pen
 
 
+def _scores(gt: np.ndarray, r: np.ndarray, n_orient: int) -> np.ndarray:
+    """Scores ``||G_s^T R||_Fro`` of the locations whose rows of ``G^T``
+    ``gt`` holds, from one product per ``_SCORE_CHUNK`` locations."""
+    rows = _SCORE_CHUNK * n_orient
+    norms = np.empty(gt.shape[0] // n_orient)
+    for start in range(0, gt.shape[0], rows):
+        norms[start // n_orient:(start + rows) // n_orient] = _location_norms(
+            gt[start:start + rows] @ r, n_orient)
+    return norms
+
+
 def _scaled_dual(r: np.ndarray, gt: np.ndarray, lam_vec: np.ndarray,
                  n_orient: int) -> Tuple[np.ndarray, np.ndarray]:
     """Feasible dual point of a residual and the scores ``||G_s^T R||_Fro``.
@@ -152,7 +165,7 @@ def _scaled_dual(r: np.ndarray, gt: np.ndarray, lam_vec: np.ndarray,
     ``gt`` holds the rows of ``G^T`` of the locations ``lam_vec`` covers.
     The point is ``Y = R / max(max_s ||G_s^T R||_Fro / lam_s, 1)``.
     """
-    norms = _location_norms(gt @ r, n_orient)
+    norms = _scores(gt, r, n_orient)
     return r / max(float((norms / lam_vec).max()), 1.0), norms
 
 
@@ -230,8 +243,7 @@ def lambda_max(m: Measurements, g: BlockDesign) -> float:
     """
     _check_paired(m, g)
     m, _ = _compress_time(m)
-    corr = g.entries.T @ m.entries
-    return float(_location_norms(corr, g.n_orient).max())
+    return float(_scores(g.entries.T, m.entries, g.n_orient).max())
 
 
 def solve_bcd(

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
-from scipy.signal import lfilter
 
 from .model import (
     BlockDesign,
@@ -54,6 +52,8 @@ __all__ = [
 AR_DEFAULT = (1.86916, -1.680743, 1.210158, -0.811663, 0.227812)
 
 _AR_BURN_IN = 100
+# doubles per block of trials that collects the dipole footprints
+_FOOTPRINT_BLOCK = 1 << 15
 
 
 def _check_ar_stable(coeffs: Sequence[float]):
@@ -140,6 +140,61 @@ class Scenario:
         )
 
 
+def _ar_filter(drive: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
+    """AR filtering of every row of ``drive``, ``(rows, T)``, over time.
+
+    The recursion ``x_t = a1 x_{t-1} + ... + e_t`` from zero state, run as
+    the direct-form-II-transposed filter of ``lfilter([1], [1, -a1, ...])``
+    with its operations in the same order, so the result is bitwise that
+    of ``scipy.signal.lfilter``. The state vector of every row advances
+    together, one time step per pass; the ``x * 0.0`` terms of the zero
+    numerator taps are kept so that signed zeros match too.
+    """
+    denom_tail = -np.asarray(coeffs, dtype=float)[:, None]
+    if not denom_tail.size:
+        # without state lfilter convolves with [1.0], turning -0.0 into +0.0
+        return drive + 0.0
+    xt = np.ascontiguousarray(drive.T)
+    out = np.empty_like(xt)
+    state = np.zeros((denom_tail.shape[0], xt.shape[1]))
+    nxt = np.empty_like(state)
+    for x, y in zip(xt, out):
+        np.add(state[0], x, out=y)
+        xz = x * 0.0
+        np.add(state[1:], xz, out=nxt[:-1])
+        nxt[-1] = xz
+        nxt -= y * denom_tail
+        state, nxt = nxt, state
+    return out.T
+
+
+def _smooth_locations(raw: np.ndarray, half: int) -> np.ndarray:
+    """Moving average over ``2 * half + 1`` locations (axis 1) of ``raw``.
+
+    Bitwise ``scipy.ndimage.uniform_filter1d(raw, 2 * half + 1, axis=1,
+    mode="reflect")``: the line is extended by mirror images (``d c b a |
+    a b c d | d c b a``, repeated when the window is wider than the line),
+    the first window is summed in order, each later window adds the
+    entering sample minus the leaving one, and every running sum is
+    divided by the window size.
+    """
+    s = raw.shape[1]
+    size = 2 * half + 1
+    idx = np.arange(-half, s + half) % (2 * s)
+    ext = raw[:, np.where(idx < s, idx, 2 * s - 1 - idx)]
+    first = np.zeros(raw.shape[:1] + raw.shape[2:])
+    for j in range(size):
+        first += ext[:, j]
+    steps = np.concatenate(
+        [first[:, None], ext[:, size:] - ext[:, :s - 1]], axis=1
+    )
+    # a C-ordered result, as scipy's: the column norms taken next sum in
+    # memory order
+    sums = np.cumsum(steps, axis=1, out=np.empty(steps.shape))
+    sums /= size
+    return sums
+
+
 def _unit_sphere_points(rng, n: int) -> np.ndarray:
     pts = rng.standard_normal((n, 3))
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
@@ -172,21 +227,20 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
     (``inf`` flags a noise-free scenario).
 
     Each trial takes one ``(n_noise_dipoles, n_times + burn-in)`` normal
-    draw and one filter pass for all of its dipole drives, then its
-    sensor noise. The random stream, and so every output bit, is the same
-    as drawing and filtering one dipole series at a time.
+    draw for its dipole drives, then its sensor noise; one filter pass
+    then runs every trial's drives at once. The random stream, and so
+    every output bit, is the same as drawing and filtering one dipole
+    series at a time with ``scipy.signal.lfilter``.
     """
     rng = np.random.default_rng(spec.rng_seed)
     n, s, o, t = spec.n_sensors, spec.n_locations, spec.n_orient, spec.n_times
 
     raw = rng.standard_normal((n, s * o))
     if spec.column_smoothing > 0:
-        size = 2 * spec.column_smoothing + 1
-        stacked = raw.reshape(n, s, o)
-        stacked = uniform_filter1d(stacked, size=size, axis=1, mode="reflect")
-        raw = stacked.reshape(n, s * o)
+        raw = _smooth_locations(raw.reshape(n, s, o), spec.column_smoothing)
+        raw = raw.reshape(n, s * o)
     raw = raw / np.linalg.norm(raw, axis=0, keepdims=True)
-    design = BlockDesign(raw, s, o)
+    design = BlockDesign._adopt(raw, s, o)
 
     positions = _unit_sphere_points(rng, s)
     true_support = _pick_separated(
@@ -222,25 +276,44 @@ def generate_scenario(spec: ScenarioSpec) -> Scenario:
             orient /= np.linalg.norm(orient)
             signatures.append(design.block(int(loc)) @ orient)
 
-    # noise is accumulated apart from the signal so that a noise-free
-    # scenario reproduces the clean signal bitwise after averaging; the
-    # dipole footprints go in dipole order and the sensor noise last, the
-    # summation order of drawing one dipole series at a time
-    denom = np.r_[1.0, -np.asarray(spec.ar_coeffs, dtype=float)]
-    noise_parts = np.zeros((spec.n_trials, n, t))
-    for k in range(spec.n_trials):
-        drive = rng.standard_normal((len(signatures), t + _AR_BURN_IN))
-        series = lfilter([1.0], denom, drive, axis=-1)[:, _AR_BURN_IN:]
-        peak = np.abs(series).max(axis=1)
-        scale = np.divide(spec.noise_dipole_amplitude, peak,
-                          out=np.ones_like(peak), where=peak > 0)
-        series *= scale[:, None]
-        for sig, row in zip(signatures, series):
-            noise_parts[k] += sig[:, None] * row[None, :]
+    # every trial's dipole drives and then its sensor noise are drawn in
+    # stream order before any filtering; noise is accumulated apart from
+    # the signal so that a noise-free scenario reproduces the clean signal
+    # bitwise after averaging; the dipole footprints go in dipole order
+    # and the sensor noise last
+    n_dip, n_trials = len(signatures), spec.n_trials
+    length = t + _AR_BURN_IN
+    drives = np.empty((n_trials, n_dip, length))
+    # holds the sensor noise until the trials are summed into it
+    trials = np.empty((n_trials, n, t))
+    for k in range(n_trials):
+        rng.standard_normal(out=drives[k])
         if spec.sensor_noise_std > 0:
-            noise_parts[k] += spec.sensor_noise_std * rng.standard_normal((n, t))
+            rng.standard_normal(out=trials[k])
+    series = _ar_filter(drives.reshape(n_trials * n_dip, length),
+                        spec.ar_coeffs)
+    series = series[:, _AR_BURN_IN:].reshape(n_trials, n_dip, t)
+    peak = np.abs(series).max(axis=2)
+    scale = np.divide(spec.noise_dipole_amplitude, peak,
+                      out=np.ones_like(peak), where=peak > 0)
+    series *= scale[:, :, None]
+    noise_parts = np.zeros((n_trials, n, t))
+    # blocks of trials small enough to stay in cache while every dipole's
+    # footprint is added to them
+    per_block = max(1, _FOOTPRINT_BLOCK // (n * t))
+    footprint = np.empty((per_block, n, t))
+    for k in range(0, n_trials, per_block):
+        block = noise_parts[k:k + per_block]
+        out = footprint[:block.shape[0]]
+        for d, sig in enumerate(signatures):
+            np.multiply(sig[None, :, None], series[k:k + per_block, d, None, :],
+                        out=out)
+            block += out
+    if spec.sensor_noise_std > 0:
+        trials *= spec.sensor_noise_std
+        noise_parts += trials
     noise_avg = noise_parts.mean(axis=0)
-    trials = m_signal[None, :, :] + noise_parts
+    np.add(m_signal[None, :, :], noise_parts, out=trials)
     m_avg = m_signal + noise_avg
 
     noise_energy = float((noise_avg ** 2).sum())
@@ -273,7 +346,7 @@ def random_instance(rng, n_sensors: int, n_locations: int, n_orient: int,
     """
     raw = rng.standard_normal((n_sensors, n_locations * n_orient))
     raw /= np.linalg.norm(raw, axis=0, keepdims=True)
-    design = BlockDesign(raw, n_locations, n_orient)
+    design = BlockDesign._adopt(raw, n_locations, n_orient)
     support = np.sort(rng.choice(n_locations, size=n_active, replace=False))
     items = [
         (int(s), rng.standard_normal((n_orient, n_times))) for s in support

@@ -2,10 +2,15 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import bsmx
 from bsmx import cli, io
 from bsmx.cli import main
 from bsmx.model import BlockSparseEstimate, SolverConfig, densify
@@ -126,6 +131,71 @@ def test_solve_binary_gain_input(tmp_path):
     rc = main(["solve", "--gain", str(gain), "--data", str(data),
                "--lambda-pct", "50", "--out", str(out)])
     assert rc == 0
+
+
+def test_solve_rejects_nan_in_binary_gain(tmp_path, caplog):
+    rng = np.random.default_rng(1)
+    m, g, _ = random_instance(rng, 12, 20, 1, 6, n_active=2, noise=0.1)
+    entries = g.entries.copy()
+    entries[3, 5] = np.nan
+    gain = tmp_path / "gain.bsmx"
+    data = tmp_path / "data.bsmx"
+    io.write_matrix_binary(gain, entries)
+    io.write_matrix_binary(data, m.entries)
+    rc = main(["solve", "--gain", str(gain), "--data", str(data),
+               "--lambda-pct", "50", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "non-finite" in caplog.text
+
+
+@pytest.mark.parametrize("transforms", [[], ["--loose", "0.6", "--depth", "0.8"]],
+                         ids=["plain", "loose-depth"])
+def test_loaded_design_is_read_only(tmp_path, transforms):
+    rng = np.random.default_rng(2)
+    m, g, _ = random_instance(rng, 15, 12, 3, 6, n_active=2, noise=0.1)
+    gain = tmp_path / "gain.bsmx"
+    data = tmp_path / "data.csv"
+    io.write_matrix_binary(gain, g.entries)
+    io.write_matrix_csv(data, m.entries)
+    args = cli._parse_args(["check", "--gain", str(gain), "--data", str(data),
+                            "--n-orient", "3", "--lambda-pct", "40",
+                            "--estimate", "unused.json", *transforms])
+    _, design, _, _ = cli._load_problem(args)
+    assert not design.entries.flags.writeable
+    with pytest.raises(ValueError):
+        design.entries[0, 0] = 1.0
+    if not transforms:
+        assert design.entries.tobytes() == g.entries.tobytes()
+
+
+def test_runtime_does_not_import_scipy(tmp_path):
+    # scipy is only a test dependency: the oracle of sim's filters
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import bsmx.cli
+        from bsmx import io
+        from bsmx.sim import random_instance
+        m, g, _ = random_instance(np.random.default_rng(0), 8, 10, 1, 4)
+        io.write_matrix_binary("gain.bsmx", g.entries)
+        io.write_matrix_csv("data.csv", m.entries)
+        assert bsmx.cli.main(["solve", "--gain", "gain.bsmx", "--data",
+                              "data.csv", "--lambda-pct", "50", "--method",
+                              "irmxne", "--out", "solve"]) == 0
+        assert bsmx.cli.main(["simulate", "--seed", "0", "--n-sensors", "8",
+                              "--n-locations", "12", "--n-times", "5",
+                              "--n-trials", "3", "--n-noise-dipoles", "2",
+                              "--out", "sim"]) == 0
+        print(sorted(name for name in sys.modules
+                     if name.split(".")[0] == "scipy"))
+    """)
+    src = os.path.dirname(os.path.dirname(bsmx.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                            env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_solve_free_orientation_with_transforms(tmp_path, capsys):
@@ -374,6 +444,22 @@ def test_benchmark_honours_active_batch(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["active_batch"] == 50
     assert batches == [50]
+
+
+@pytest.mark.parametrize("methods", ["bcd_as,pgd_sa", "pgd_sa,bcd_as"])
+def test_benchmark_rejects_unknown_method_before_running(tmp_path, monkeypatch,
+                                                         caplog, methods):
+    ran = []
+    monkeypatch.setattr(cli, "_run_benchmark_method",
+                        lambda name, *args: ran.append(name))
+    out = tmp_path / "bench"
+    rc = main(["benchmark", "--seed", "0", "--n-sensors", "10",
+               "--n-locations", "20", "--n-times", "4", "--lambda-pct", "50",
+               "--lambda-pct", "60", "--methods", methods, "--out", str(out)])
+    assert rc == 2
+    assert "'pgd_sa'" in caplog.text
+    assert ran == []
+    assert not out.exists()
 
 
 def test_benchmark_config_lists_methods(tmp_path):

@@ -36,6 +36,25 @@ def test_loose_scales_tangential_columns():
         assert np.array_equal(blk_out[:, 2], 0.5 * blk_in[:, 2])
 
 
+def test_transforms_copy_unless_told_not_to():
+    rng = np.random.default_rng(11)
+    g = _free_orientation_design(rng)
+    before = g.entries.copy()
+    loose = apply_loose_orientation(g, 0.6)
+    weighted, _ = apply_depth_weights(loose, 0.8)
+    assert np.array_equal(g.entries, before)
+    assert not np.shares_memory(weighted.entries, loose.entries)
+    # in place: the same bits, in g's own array, still read-only
+    fresh = BlockDesign(before, g.n_locations, 3)
+    arr = fresh.entries
+    loose_in_place = apply_loose_orientation(fresh, 0.6, copy=False)
+    weighted_in_place, _ = apply_depth_weights(loose_in_place, 0.8,
+                                               copy=False)
+    assert weighted_in_place.entries is arr
+    assert weighted_in_place.entries.tobytes() == weighted.entries.tobytes()
+    assert not arr.flags.writeable
+
+
 def test_loose_composition():
     rng = np.random.default_rng(2)
     g = _free_orientation_design(rng)

@@ -35,8 +35,26 @@ def test_binary_truncation_detected(tmp_path):
     io.write_matrix_binary(path, a)
     data = path.read_bytes()
     path.write_bytes(data[:-8])
-    with pytest.raises(ValueError, match="payload"):
+    with pytest.raises(ValueError, match="payload is 120 bytes, expected 128"):
         io.read_matrix(path)
+
+
+def test_binary_oversized_payload_detected(tmp_path):
+    path = tmp_path / "m.bsmx"
+    io.write_matrix_binary(path, np.ones((4, 4)))
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ValueError, match="payload is 136 bytes, expected 128"):
+        io.read_matrix(path)
+
+
+def test_binary_read_returns_one_owned_array(tmp_path):
+    a = np.random.default_rng(3).standard_normal((5, 3))
+    path = tmp_path / "m.bsmx"
+    io.write_matrix_binary(path, a)
+    back = io.read_matrix(path)
+    assert back.flags.owndata and back.flags.c_contiguous
+    assert back.dtype == np.float64
+    assert back.tobytes() == a.tobytes()
 
 
 def test_csv_parse_error_names_file(tmp_path):

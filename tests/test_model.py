@@ -140,6 +140,27 @@ def test_design_validation():
         BlockDesign(np.zeros((2, 4)), 0, 4)
 
 
+def test_design_constructor_copies():
+    arr = np.random.default_rng(8).standard_normal((4, 6))
+    g = BlockDesign(arr, 3, 2)
+    assert not np.shares_memory(arr, g.entries)
+    assert arr.flags.writeable
+    arr[0, 0] = 7.0
+    assert g.entries[0, 0] != 7.0
+    assert not g.entries.flags.writeable
+
+
+def test_design_adopt_keeps_the_array_and_checks_it():
+    arr = np.random.default_rng(9).standard_normal((4, 6))
+    g = BlockDesign._adopt(arr, 3, 2)
+    assert g.entries is arr
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="finite"):
+        BlockDesign._adopt(np.full((2, 4), np.nan), 2, 2)
+    with pytest.raises(ValueError, match="columns"):
+        BlockDesign._adopt(np.zeros((4, 7)), 2, 3)
+
+
 def test_measurements_validation():
     with pytest.raises(ValueError, match="finite"):
         Measurements([[1.0, np.inf]])

@@ -18,7 +18,14 @@ from bsmx.sim import (
     resample_stability,
     solve_with_method,
 )
-from bsmx.sim import _AR_BURN_IN, _pick_separated, _unit_sphere_points
+from bsmx.sim import (
+    AR_DEFAULT,
+    _AR_BURN_IN,
+    _ar_filter,
+    _pick_separated,
+    _smooth_locations,
+    _unit_sphere_points,
+)
 
 SMALL = dict(n_sensors=25, n_locations=60, n_times=20, n_trials=12)
 
@@ -96,20 +103,63 @@ def _reference_scenario(spec):
     return signal[None, :, :] + noise_parts, signal + noise_avg, snr
 
 
+# a scenario that fits on one or two locations: with a smoothing
+# half-width longer than the line, "reflect" extends it by more than one
+# mirror image
+ONE_SOURCE = dict(n_true_sources=1, peak_amplitudes=(5.5,),
+                  peak_fractions=(0.5,), n_noise_dipoles=0)
+
+
 @pytest.mark.parametrize("params", [
     dict(n_orient=1),
     dict(n_orient=3),
     dict(n_noise_dipoles=0),
+    dict(sensor_noise_std=0.0),
     dict(noise_dipole_amplitude=0.0, sensor_noise_std=0.0),
-], ids=["fixed", "free", "no-dipoles", "noise-free"])
+    dict(ONE_SOURCE, n_locations=1, column_smoothing=2),
+    dict(ONE_SOURCE, n_locations=2, n_orient=3, column_smoothing=3),
+], ids=["fixed", "free", "no-dipoles", "no-sensor-noise", "noise-free",
+        "1-location", "2-locations-free"])
 def test_scenario_matches_per_dipole_reference(params):
     for seed in (0, 5):
-        spec = ScenarioSpec(**SMALL, **params, rng_seed=seed)
+        spec = ScenarioSpec(**{**SMALL, **params}, rng_seed=seed)
         scenario = generate_scenario(spec)
         trials, m_avg, snr = _reference_scenario(spec)
         assert scenario.trials.tobytes() == trials.tobytes()
         assert scenario.m_avg.entries.tobytes() == m_avg.tobytes()
         assert scenario.snr == snr
+
+
+@pytest.mark.parametrize("n_locations, half", [
+    (1, 2), (2, 3), (1, 1), (3, 7), (5, 2), (60, 2), (500, 5),
+])
+@pytest.mark.parametrize("n_orient", [1, 3])
+def test_smoothing_matches_scipy_reflect(n_locations, half, n_orient):
+    raw = np.random.default_rng(n_locations).standard_normal(
+        (7, n_locations, n_orient))
+    expected = uniform_filter1d(raw, size=2 * half + 1, axis=1,
+                                mode="reflect")
+    got = _smooth_locations(raw, half)
+    assert got.tobytes() == expected.tobytes()
+    # C order, as scipy's: the column norms taken next sum in memory order
+    assert got.flags.c_contiguous
+
+
+# lfilter cannot take zero rows with a constant denominator ("white")
+@pytest.mark.parametrize("coeffs, rows", [
+    (AR_DEFAULT, 0), (AR_DEFAULT, 1), (AR_DEFAULT, 30), ((0.5,), 30),
+    ((-0.5,), 30), ((0.9, -0.2), 30), ((), 30),
+], ids=["ar5-0", "ar5-1", "ar5-30", "ar1", "ar1-negative", "ar2", "white"])
+def test_ar_filter_matches_scipy_lfilter(coeffs, rows):
+    drive = np.random.default_rng(rows).standard_normal((rows, 150))
+    if rows:
+        # with a negative coefficient, -0.0 input leaves -0.0 outputs only
+        # through the x * 0.0 terms of the zero numerator taps
+        drive[0, :20] = -0.0
+        drive[0, 20:30] = 0.0
+    expected = lfilter([1.0], np.r_[1.0, -np.asarray(coeffs, dtype=float)],
+                       drive, axis=-1)
+    assert _ar_filter(drive, coeffs).tobytes() == expected.tobytes()
 
 
 def test_scenario_noise_free_flag():

@@ -315,7 +315,6 @@ def _simulate_task(payload: dict) -> Tuple[List[dict], Optional[dict]]:
 def cmd_simulate(args) -> int:
     t_start = time.perf_counter()
     seeds = args.seed or [_fresh_seed()]
-    jobs = args.jobs or int(os.environ.get("BSMX_JOBS", "1"))
     scenario_params = {name: getattr(args, name) for name in SCENARIO_OPTIONS}
     config = _solver_config(args)
     # a count below one runs no stability pass
@@ -336,8 +335,9 @@ def cmd_simulate(args) -> int:
     ]
 
     os.makedirs(args.out, exist_ok=True)
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=args.jobs) as pool:
             results = list(pool.map(_simulate_task, payloads))
     else:
         results = [_simulate_task(p) for p in payloads]
@@ -488,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=False)
     p_sim.add_argument("--resamples", type=int, default=0)
     p_sim.add_argument("--resample-fraction", type=float, default=0.8)
-    p_sim.add_argument("--jobs", type=int,
-                       help="worker processes (default: BSMX_JOBS or 1)")
+    p_sim.add_argument("--jobs", type=int, default=1,
+                       help="worker processes over the seeds (default: 1)")
     p_sim.add_argument("--out", required=True)
     _add_solver_options(p_sim)
     p_sim.set_defaults(func=cmd_simulate)

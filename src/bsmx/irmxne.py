@@ -9,19 +9,20 @@ design, with weights ``w`` derived from the previous estimate
 penalty weights never need epsilon smoothing: locations whose weight hits
 zero are simply dropped from the candidate set and never re-enter.
 
-Iteration 1 uses unit weights, so its output is exactly the plain convex
-mixed-norm estimate.
+Iteration 1 uses unit weights and the active-set solver, so its output is
+exactly the plain convex mixed-norm estimate. Every later reweight is one
+block coordinate descent solve on the prior support.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import mxne
 from .model import (
     BlockDesign,
     BlockSparseEstimate,
@@ -123,52 +124,30 @@ def _solve_surrogate(
     m: Measurements,
     g: BlockDesign,
     weights: np.ndarray,
-    prev: Optional[BlockSparseEstimate],
+    prev: BlockSparseEstimate,
     lam: float,
     config: SolverConfig,
     trace: ConvergenceTrace,
-    t0: float,
 ) -> BlockSparseEstimate:
-    """One weighted convex solve, restricted to positively weighted locations.
+    """One reweight ``k >= 2``: a single BCD solve on the prior support.
 
-    Minimizes ``0.5 * ||M - G_C X||_Fro^2 + sum_s (lam / w_s) ||X_s||_Fro``:
-    the per-location penalty ``lam / w_s`` on the unscaled design ``G_C``
-    of the locations ``C`` with ``w_s > 0``, warm-started from ``prev``
-    (cold when it is None). With every weight positive, ``G_C`` is ``g``
-    itself, not a copy. An active block whose norm underflows has weight
-    zero; like any other zero-weight location it is left out of the warm
-    start and of the candidate set.
+    Minimizes ``0.5 * ||M - G X||_Fro^2 + sum_s (lam / w_s) ||X_s||_Fro``
+    over the locations ``C`` with ``w_s > 0``, warm-started from ``prev``.
+    Every other location has weight zero (an infinite penalty), so the gap
+    :func:`bsmx.mxne.solve_bcd` certifies on ``C`` is the surrogate's own.
+    An active block of ``prev`` whose norm underflows has weight zero too
+    and is left out of the warm start.
     """
     cand = np.flatnonzero(weights > 0)
-    n_orient = g.n_orient
-    if cand.size == 0:
-        return BlockSparseEstimate.empty(g.n_locations, n_orient, m.n_times)
-
-    sub_design = g
-    if cand.size < g.n_locations:
-        sub_design = BlockDesign(g.entries[:, g.column_indices(cand)],
-                                 len(cand), n_orient)
-
-    warm = None
-    if prev is not None:
-        # cand is the support of prev less its zero-weight locations
-        kept = np.repeat(weights[list(prev.active_set)] > 0, n_orient)
-        warm = _unpack(prev.coef[kept], np.arange(len(cand)), len(cand),
-                       n_orient)
-
-    def full(sub: BlockSparseEstimate) -> BlockSparseEstimate:
-        return _unpack(sub.coef, cand[list(sub.active_set)], g.n_locations,
-                       n_orient)
-
-    try:
-        sub_sol, _ = solve_active_set(
-            m, sub_design, warm, lam / weights[cand], config, trace=trace,
-            time_origin=t0,
-        )
-    except IterationLimitError as exc:
-        exc.estimate = full(exc.estimate)
-        raise
-    return full(sub_sol)
+    kept = np.repeat(weights[list(prev.active_set)] > 0, g.n_orient)
+    warm = _unpack(prev.coef[kept], cand, g.n_locations, g.n_orient)
+    # solve_bcd reads the penalty only on the candidates
+    lam_vec = np.full(g.n_locations, lam)
+    lam_vec[cand] /= weights[cand]
+    est, _ = mxne.solve_bcd(m, g, warm, lam_vec, config.gap_tol,
+                            candidates=cand, max_iter=config.max_bcd_iter,
+                            trace=trace)
+    return est
 
 
 def solve_irmxne(
@@ -179,9 +158,11 @@ def solve_irmxne(
     ``lam`` is the absolute regularization weight; every reweight keeps it.
 
     Iteration 1 solves the plain convex problem (unit weights, no warm
-    start). Iteration ``k >= 2`` restricts the candidate set to locations
-    with positive weight and solves the surrogate with per-location penalty
-    ``lam / w_s`` on the unscaled design, warm-started from the previous
+    start) with :func:`bsmx.mxne.solve_active_set`. Iteration ``k >= 2``
+    restricts the candidate set to locations with positive weight, all of
+    them in the previous support, and solves the surrogate with
+    per-location penalty ``lam / w_s`` on the unscaled design as one
+    :func:`bsmx.mxne.solve_bcd` call, warm-started from the previous
     solution. The loop stops when the estimates of consecutive iterations
     differ by less than ``config.reweight_tol`` in entrywise max-abs, or
     after ``config.max_reweight`` iterations (returned with
@@ -207,16 +188,19 @@ def solve_irmxne(
     _check_paired(m, g)
     m, vt = _compress_time(m)
     trace = ConvergenceTrace()
-    t0 = time.perf_counter()
     state = ReweightState()
 
     prev = None
     try:
         for k in range(1, config.max_reweight + 1):
-            weights = (np.ones(g.n_locations) if prev is None
-                       else compute_weights(prev))
-            state.weights.append(weights)
-            est = _solve_surrogate(m, g, weights, prev, lam, config, trace, t0)
+            if prev is None:
+                state.weights.append(np.ones(g.n_locations))
+                est, _ = solve_active_set(m, g, None, lam, config, trace=trace)
+            else:
+                weights = compute_weights(prev)
+                state.weights.append(weights)
+                est = _solve_surrogate(m, g, weights, prev, lam, config,
+                                       trace)
             state.iteration = k
             state.objective_trace.append(nonconvex_objective(m, g, est, lam))
             state.converged = (prev is not None and _max_abs_change(

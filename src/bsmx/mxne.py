@@ -94,14 +94,20 @@ class TraceRow:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-iteration solver progress; serializes to CSV."""
+    """Per-iteration solver progress; serializes to CSV.
+
+    ``seconds`` of a row counts from the trace's creation, so it never
+    decreases, however many solver calls share the trace.
+    """
 
     rows: List[TraceRow] = field(default_factory=list)
+    started: float = field(init=False, default_factory=time.perf_counter,
+                           repr=False, compare=False)
 
-    def add(self, gap: float, active_size: int, primal: float, seconds: float):
+    def add(self, gap: float, active_size: int, primal: float):
         self.rows.append(
             TraceRow(len(self.rows), float(gap), int(active_size),
-                     float(primal), float(seconds))
+                     float(primal), time.perf_counter() - self.started)
         )
 
     @property
@@ -256,7 +262,6 @@ def solve_bcd(
     candidates: Optional[Sequence[int]] = None,
     max_iter: int = 100_000,
     trace: Optional[ConvergenceTrace] = None,
-    time_origin: Optional[float] = None,
 ) -> Tuple[BlockSparseEstimate, ConvergenceTrace]:
     """Cyclic block coordinate descent with Anderson extrapolation.
 
@@ -319,13 +324,12 @@ def solve_bcd(
             raise ValueError("candidate index out of range")
     if trace is None:
         trace = ConvergenceTrace()
-    t0 = time.perf_counter() if time_origin is None else time_origin
 
     if not cand:
         # restricted to nothing, the zero estimate is trivially optimal
         est = BlockSparseEstimate.empty(n_loc, n_orient, n_times)
         primal = 0.5 * float((m.entries * m.entries).sum())
-        trace.add(0.0, 0, primal, time.perf_counter() - t0)
+        trace.add(0.0, 0, primal)
         return est, trace
 
     n_cand = len(cand)
@@ -390,7 +394,7 @@ def solve_bcd(
     sweeps = 0
     while True:
         primal, gap = restricted_gap(r)
-        trace.add(gap, sum(active), primal, time.perf_counter() - t0)
+        trace.add(gap, sum(active), primal)
         if gap < gap_tol:
             break
         if sweeps >= max_iter:
@@ -462,7 +466,6 @@ def solve_active_set(
     *,
     inner: str = "bcd",
     trace: Optional[ConvergenceTrace] = None,
-    time_origin: Optional[float] = None,
 ) -> Tuple[BlockSparseEstimate, ConvergenceTrace]:
     """Solve the full problem with a forward working-set strategy.
 
@@ -520,7 +523,7 @@ def solve_active_set(
         try:
             est, trace = solve_active_set(
                 m_short, g, _change_time_basis(warm, vt.T), lam, config,
-                inner=inner, trace=trace, time_origin=time_origin,
+                inner=inner, trace=trace,
             )
         except IterationLimitError as exc:
             exc.estimate = _change_time_basis(exc.estimate, vt)
@@ -551,14 +554,12 @@ def solve_active_set(
 
     if trace is None:
         trace = ConvergenceTrace()
-    t0 = time.perf_counter() if time_origin is None else time_origin
 
     active = set(est.active_set)
     outer_cap = n_loc // config.active_batch + 10
     for outer in range(outer_cap + 1):
         report, norms = _gap_and_scores(m, g, est, lam_vec)
-        trace.add(report.gap, est.n_active, report.primal,
-                  time.perf_counter() - t0)
+        trace.add(report.gap, est.n_active, report.primal)
         if report.gap < config.gap_tol:
             return est, trace
         if outer == outer_cap:
@@ -581,8 +582,7 @@ def solve_active_set(
         if inner == "bcd":
             est, _ = solve_bcd(
                 m, g, est, lam_vec, inner_tol,
-                candidates=cand, max_iter=config.max_bcd_iter,
-                trace=trace, time_origin=t0,
+                candidates=cand, max_iter=config.max_bcd_iter, trace=trace,
             )
         else:
             from .oracle import solve_proximal_gradient

@@ -1,4 +1,5 @@
-"""Shared fixtures-in-spirit: instance generators and independent oracles.
+"""Shared fixtures-in-spirit: instance generators, independent oracles and
+a probe of the irMxNE solves.
 
 The oracles here deliberately avoid the library's own code paths: dense
 objectives are recomputed with raw numpy expressions, the prox is checked
@@ -8,6 +9,7 @@ descent.
 
 import numpy as np
 
+from bsmx import irmxne, mxne
 from bsmx.model import BlockDesign, BlockSparseEstimate, Measurements, densify
 from bsmx.sim import random_instance
 
@@ -19,6 +21,40 @@ def make_instance(rng, n_sensors=20, n_locations=40, n_orient=3, n_times=10,
         n_active=n_active, noise=noise,
     )
     return m, g, truth
+
+
+class ReweightProbe:
+    """Records the convex solves of ``solve_irmxne``.
+
+    Wraps ``irmxne.solve_active_set`` (counted in ``driver_calls``) and
+    ``mxne.solve_bcd``. A ``solve_bcd`` call made once a ``solve_active_set``
+    call has returned is a reweight ``k >= 2``: it is recorded in
+    ``reweights`` as ``(m, lam, candidates, estimate)`` and, when
+    ``max_iter`` is given, capped at that many sweeps. Iteration 1 runs
+    unchanged.
+    """
+
+    def __init__(self, monkeypatch, max_iter=None):
+        self.driver_calls = 0
+        self.reweights = []
+        driver, bcd = irmxne.solve_active_set, mxne.solve_bcd
+
+        def counted(*args, **kwargs):
+            result = driver(*args, **kwargs)
+            self.driver_calls += 1
+            return result
+
+        def recorded(m, g, init, lam, gap_tol, **kwargs):
+            if not self.driver_calls:
+                return bcd(m, g, init, lam, gap_tol, **kwargs)
+            if max_iter is not None:
+                kwargs["max_iter"] = max_iter
+            est, trace = bcd(m, g, init, lam, gap_tol, **kwargs)
+            self.reweights.append((m, lam, kwargs["candidates"], est))
+            return est, trace
+
+        monkeypatch.setattr(irmxne, "solve_active_set", counted)
+        monkeypatch.setattr(mxne, "solve_bcd", recorded)
 
 
 def dense_primal(m, g, est, lam):

@@ -382,6 +382,22 @@ def test_simulate_parallel_matches_serial(tmp_path):
         assert (serial / name).read_text() == (parallel / name).read_text()
 
 
+def test_simulate_jobs_option_is_the_only_worker_count(tmp_path, monkeypatch):
+    # the environment chooses no worker count; the manifest records the one
+    # used
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setenv("BSMX_JOBS", "2")
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "sim"
+    rc = main(["simulate", *SIM_ARGS, "--seed", "1", "--seed", "2",
+               "--lambda-pct", "60", "--method", "mxne", "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["jobs"] == 1
+
+
 def test_simulate_generates_seed_when_absent(tmp_path):
     out = tmp_path / "sim"
     rc = main(["simulate", *SIM_ARGS, "--lambda-pct", "60",

@@ -5,8 +5,6 @@ estimates back as ``Z V^T``. Every check here is made on the uncompressed
 problem, against solvers or formulas that never compress.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -29,7 +27,7 @@ from bsmx.mxne import (
 from bsmx.oracle import solve_proximal_gradient
 from bsmx.prox import _location_norms
 
-from helpers import make_instance
+from helpers import ReweightProbe, make_instance
 
 N_SENSORS, N_TIMES = 12, 30
 
@@ -155,17 +153,11 @@ def test_irmxne_iteration_limit_carries_full_time_estimate(monkeypatch):
     # iteration 1 runs uncapped; every reweight step is capped at one sweep
     m, g, lam = _long_problem(9, 3, "scalar")
     config = SolverConfig()
-    inner = irmxne.solve_active_set
-
-    def capped(m, g, warm, lam, config, **kwargs):
-        if warm is not None:
-            config = dataclasses.replace(config, max_bcd_iter=1)
-        return inner(m, g, warm, lam, config, **kwargs)
-
-    monkeypatch.setattr(irmxne, "solve_active_set", capped)
+    ReweightProbe(monkeypatch, max_iter=1)
     with pytest.raises(IterationLimitError) as info:
         solve_irmxne(m, g, lam, config)
     assert info.value.estimate.n_times == N_TIMES
+    assert info.value.estimate.n_locations == g.n_locations
     state = info.value.state
     assert state.iteration == 1 and len(state.weights) == 2
     assert all(w.shape == (g.n_locations,) for w in state.weights)

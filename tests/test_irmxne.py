@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -30,7 +29,7 @@ from bsmx.mxne import (
 )
 from bsmx.sim import ScenarioSpec, generate_scenario
 
-from helpers import dense_sqrt_objective, make_instance
+from helpers import ReweightProbe, dense_sqrt_objective, make_instance
 
 
 def test_max_abs_change_matches_dense_difference():
@@ -115,20 +114,14 @@ def test_surrogate_drops_block_with_underflowing_weight():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = _solve_surrogate(m, g, weights, prev, lam, SolverConfig(),
-                               ConvergenceTrace(), 0.0)
+                               ConvergenceTrace())
     assert est.active_set == (3,)
 
 
-def test_final_estimate_solves_weighted_surrogate_in_both_forms():
-    # n_times > n_sensors, so every reweight runs on compressed data
-    rng = np.random.default_rng(13)
-    m, g, _ = make_instance(rng, n_times=30, noise=0.3)
-    lam = 0.3 * lambda_max(m, g)
-    config = SolverConfig()
-    est, state, _ = solve_irmxne(m, g, lam, config)
-    w = state.weights[-1]
+def _surrogate_gaps(m, g, est, w, lam):
+    """Gaps of ``est`` on the weighted surrogate of weights ``w``, from a
+    fresh residual over the locations with ``w > 0``, in two forms."""
     cand = np.flatnonzero(w > 0)
-    assert state.iteration >= 2 and 0 < cand.size < g.n_locations
     pos = {int(s): j for j, s in enumerate(cand)}
     o = g.n_orient
     g_c = g.entries[:, g.column_indices(cand)]
@@ -147,12 +140,48 @@ def test_final_estimate_solves_weighted_surrogate_in_both_forms():
         [(pos[s], b / w[s]) for s, b in zip(est.active_set, est.blocks)],
         len(cand), o, m.n_times,
     )
-    scaled = duality_gap(m, scaled_design, est_s, lam)
+    return direct, duality_gap(m, scaled_design, est_s, lam)
 
-    for report in (direct, scaled):
-        assert report.gap <= config.gap_tol + 1e-12 * report.primal
-    assert abs(direct.primal - scaled.primal) <= 1e-12 * direct.primal
-    assert abs(direct.gap - scaled.gap) <= 1e-12 * direct.primal
+
+def test_final_estimate_solves_weighted_surrogate_in_both_forms(monkeypatch):
+    # and so does every reweight k >= 2; with n_times=30 > n_sensors every
+    # reweight runs on compressed data
+    config = SolverConfig()
+    for n_times in (10, 30):
+        rng = np.random.default_rng(13)
+        m, g, _ = make_instance(rng, n_times=n_times, noise=0.3)
+        lam = 0.3 * lambda_max(m, g)
+        with monkeypatch.context() as patch:
+            probe = ReweightProbe(patch)
+            est, state, _ = solve_irmxne(m, g, lam, config)
+        w = state.weights[-1]
+        assert state.iteration >= 2 and 0 < (w > 0).sum() < g.n_locations
+        assert len(probe.reweights) == state.iteration - 1
+
+        # each reweight on the data it ran on, the result in full time
+        solves = [(m_k, est_k, w_k) for (m_k, _, _, est_k), w_k
+                  in zip(probe.reweights, state.weights[1:])]
+        for m_k, est_k, w_k in solves + [(m, est, w)]:
+            direct, scaled = _surrogate_gaps(m_k, g, est_k, w_k, lam)
+            for report in (direct, scaled):
+                assert report.gap <= config.gap_tol + 1e-12 * report.primal
+            assert abs(direct.primal - scaled.primal) <= 1e-12 * direct.primal
+            assert abs(direct.gap - scaled.gap) <= 1e-12 * direct.primal
+
+
+def test_reweights_are_single_bcd_solves_on_their_candidates(monkeypatch):
+    rng = np.random.default_rng(15)
+    m, g, _ = make_instance(rng, noise=0.3)
+    lam = 0.3 * lambda_max(m, g)
+    probe = ReweightProbe(monkeypatch)
+    _, state, _ = solve_irmxne(m, g, lam, SolverConfig())
+    assert state.iteration >= 3
+    # only iteration 1 needs the active-set driver
+    assert probe.driver_calls == 1
+    assert len(probe.reweights) == state.iteration - 1
+    for (_, lam_vec, cand, _), w in zip(probe.reweights, state.weights[1:]):
+        assert np.array_equal(cand, np.flatnonzero(w > 0))
+        assert np.array_equal(lam_vec[cand], lam / w[cand])
 
 
 def test_first_reweight_solves_on_the_design_itself(monkeypatch):
@@ -314,14 +343,7 @@ def test_iteration_limit_carries_reweight_state(monkeypatch):
     m, g, _ = make_instance(rng, noise=0.3)
     lam = 0.3 * lambda_max(m, g)
     config = SolverConfig()
-    inner = irmxne.solve_active_set
-
-    def capped(m, g, warm, lam, config, **kwargs):
-        if warm is not None:
-            config = dataclasses.replace(config, max_bcd_iter=1)
-        return inner(m, g, warm, lam, config, **kwargs)
-
-    monkeypatch.setattr(irmxne, "solve_active_set", capped)
+    ReweightProbe(monkeypatch, max_iter=1)
     with pytest.raises(IterationLimitError) as info:
         solve_irmxne(m, g, lam, config)
     state = info.value.state

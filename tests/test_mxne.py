@@ -383,7 +383,7 @@ def test_solve_bcd_trace_has_one_row_per_sweep_plus_one():
                   for seed in range(5)]
     for m, g, lam in instances:
         trace = ConvergenceTrace()
-        trace.add(1.0, 0, 1.0, 0.0)
+        trace.add(1.0, 0, 1.0)
         _, trace = solve_bcd(m, g, None, lam, 1e-10, trace=trace)
         sweeps = len(trace) - 2
         assert sweeps > 2 * k
@@ -399,6 +399,17 @@ def test_solve_bcd_trace_has_one_row_per_sweep_plus_one():
                 solve_bcd(m, g, None, lam, 1e-10, max_iter=cap,
                           trace=capped)
             assert len(capped) == cap + 1
+
+
+def test_trace_seconds_never_decrease_across_calls():
+    # seconds count from the trace's creation, not from each call's start
+    m, g, lam = _correlated_instance(np.random.default_rng(421))
+    trace = ConvergenceTrace()
+    for _ in range(2):
+        _, trace = solve_bcd(m, g, None, lam, 1e-10, trace=trace)
+    seconds = [row.seconds for row in trace.rows]
+    assert seconds[0] >= 0
+    assert all(b >= a for a, b in zip(seconds, seconds[1:]))
 
 
 def test_location_norms_match_per_block_norm():
@@ -634,8 +645,8 @@ def test_lambda_vector_validation():
 
 def test_trace_to_csv(tmp_path):
     trace = ConvergenceTrace()
-    trace.add(0.5, 2, 10.0, 0.01)
-    trace.add(1e-7, 3, 9.5, 0.02)
+    trace.add(0.5, 2, 10.0)
+    trace.add(1e-7, 3, 9.5)
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().strip().splitlines()

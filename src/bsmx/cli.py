@@ -53,6 +53,7 @@ from .oracle import solve_proximal_gradient
 from .sim import (
     MetricsReport,
     ScenarioSpec,
+    _resample_size,
     evaluate,
     generate_scenario,
     random_instance,
@@ -317,8 +318,12 @@ def cmd_simulate(args) -> int:
     seeds = args.seed or [_fresh_seed()]
     scenario_params = {name: getattr(args, name) for name in SCENARIO_OPTIONS}
     config = _solver_config(args)
+    if not all(pct > 0 for pct in args.lambda_pct):
+        raise ValueError(f"lambda_pct must be positive: {args.lambda_pct}")
     # a count below one runs no stability pass
     n_resamples = max(args.resamples, 0)
+    if n_resamples:
+        _resample_size(args.resample_fraction, n_resamples, args.n_trials)
     # stability is assessed on the first seed's scenario, inside its task
     payloads = [
         {
@@ -388,6 +393,8 @@ def cmd_benchmark(args) -> int:
         if name not in BENCH_METHODS:
             raise ValueError(f"unknown benchmark method {name!r}; expected "
                              f"one of {', '.join(BENCH_METHODS)}")
+    if not all(pct > 0 for pct in args.lambda_pct):
+        raise ValueError(f"lambda_pct must be positive: {args.lambda_pct}")
     seed = _fresh_seed() if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     m, design, _ = random_instance(

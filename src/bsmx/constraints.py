@@ -104,13 +104,11 @@ def apply_depth_weights(g: BlockDesign, gamma: float, *, copy: bool = True):
     if not 0 <= gamma <= 1:
         raise ValueError("gamma must lie in [0, 1]")
     lips = block_lipschitz_all(g)
-    if np.any(lips <= 0):
-        bad = int(np.flatnonzero(lips <= 0)[0])
-        raise ValueError(
-            f"degenerate design block at location {bad}: all entries are zero"
-        )
-    sigma = np.sqrt(lips)
-    scale = sigma ** (-gamma)
+    bad = np.flatnonzero(lips <= 0)
+    if bad.size:
+        raise ValueError(f"degenerate design block at location {bad[0]}: "
+                         "all entries are zero")
+    scale = np.sqrt(lips) ** (-gamma)
     weights = DepthWeights(gamma=gamma, per_location_scale=scale)
     weighted = _scale_columns(g, np.repeat(scale, g.n_orient), copy)
     return weighted, weights

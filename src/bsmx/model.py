@@ -6,8 +6,8 @@ and a sensor-by-time data matrix, assumed spatially whitened. Estimates
 store only their nonzero blocks, packed into one array, so memory scales
 with the recovered support rather than with the full source space.
 
-All types are immutable after construction; arrays are copied and marked
-read-only, so instances can be shared freely across threads.
+All types are immutable, their arrays read-only (copied unless adopted by
+``BlockDesign._adopt``); values derived from one are memoized on it.
 """
 
 from __future__ import annotations

@@ -272,9 +272,10 @@ def solve_bcd(
     locations in ascending order and applies the closed-form update: a
     gradient step of length ``1 / L_s`` followed by group
     soft-thresholding. The step is derived, not passed in:
-    ``L_s = ||G_s^T G_s||`` is computed once per call for the candidate
-    blocks. The residual is updated incrementally after each block change
-    and recomputed with one product every 50 sweeps to bound drift.
+    ``L_s = ||G_s^T G_s||`` is computed once per design, for every call
+    (:func:`bsmx.prox.block_lipschitz_all`). The residual is updated
+    incrementally after each block change and recomputed with one product
+    every 50 sweeps to bound drift.
 
     Every ``_ANDERSON_K`` (5) sweeps the last iterates are extrapolated
     (Anderson acceleration of coordinate descent; Bertrand and Massias,
@@ -333,19 +334,14 @@ def solve_bcd(
         return est, trace
 
     n_cand = len(cand)
-    # contiguous copy; g_cand_t[i * O:(i + 1) * O] is G_s^T of candidate i
-    g_cand_t = g.entries.T[g.column_indices(cand)]
-    # with every location a candidate, the design itself serves (no copy)
-    cand_design = (g if n_cand == n_loc
-                   else BlockDesign(g_cand_t.T, n_cand, n_orient))
-    lips = block_lipschitz_all(cand_design)
+    lips = block_lipschitz_all(g)[cand]
     zero = np.flatnonzero(lips <= 0)
     if zero.size:
-        raise ValueError(
-            f"degenerate design block at location {cand[zero[0]]}: all "
-            "entries are zero"
-        )
+        raise ValueError(f"degenerate design block at location "
+                         f"{cand[zero[0]]}: all entries are zero")
     steps = 1.0 / lips
+    # contiguous copy; g_cand_t[i * O:(i + 1) * O] is G_s^T of candidate i
+    g_cand_t = g.entries.T[g.column_indices(cand)]
 
     x = _pack(init, cand, n_orient, n_times)
     active = x.reshape(n_cand, -1).any(axis=1).tolist()
@@ -532,10 +528,7 @@ def solve_active_set(
     n_loc, n_orient, n_times = g.n_locations, g.n_orient, m.n_times
     lam_vec = _lam_vector(lam, n_loc)
 
-    # all-zero blocks have zero energy; the einsum reads the design in
-    # place, with no Lipschitz pass and no copy
-    blocks = g.entries.reshape(g.n_sensors, n_loc, n_orient)
-    valid = np.einsum("nso,nso->s", blocks, blocks) > 0
+    valid = block_lipschitz_all(g) > 0
     if not valid.all():
         warnings.warn(
             f"excluding {int((~valid).sum())} all-zero design blocks from "

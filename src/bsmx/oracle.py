@@ -98,9 +98,8 @@ def solve_proximal_gradient(
         cand = np.asarray(sorted(set(int(s) for s in candidates)), dtype=int)
         if cand.size and (cand[0] < 0 or cand[-1] >= g.n_locations):
             raise ValueError("candidate index out of range")
-        sub = BlockDesign(
-            g.entries[:, g.column_indices(cand)], len(cand), n_orient
-        )
+        sub = BlockDesign._adopt(g.entries[:, g.column_indices(cand)],
+                                 len(cand), n_orient)
     if cand.size == 0:
         return BlockSparseEstimate.empty(g.n_locations, n_orient, n_times)
     lam_vec = lam_full[cand]

@@ -47,29 +47,31 @@ def block_lipschitz(block: np.ndarray) -> float:
         If the block is all-zero ("degenerate design block"): the
         coordinate step size would be undefined.
     """
-    block = np.asarray(block, dtype=float)
-    if block.ndim != 2:
+    if np.ndim(block) != 2:
         raise ValueError("design block must be 2-D")
-    if not block.any():
+    lips = block_lipschitz_all(BlockDesign(block, 1, np.shape(block)[1]))
+    if not lips[0] > 0:
         raise ValueError("degenerate design block: all entries are zero")
-    return float(block_lipschitz_all(BlockDesign(block, 1, block.shape[1]))[0])
+    return float(lips[0])
 
 
 def block_lipschitz_all(design: BlockDesign) -> np.ndarray:
-    """Per-location curvature constants for a whole design.
+    """Per-location curvature constants ``||G_s^T G_s||`` of a design.
 
-    Vectorized over locations; all-zero blocks yield 0.0 instead of an
-    error so callers can mask them out of the candidate set.
+    Vectorized; 0.0 marks an all-zero (degenerate) block. Computed once per
+    design and kept on it read-only, so all solves read the same bits.
     """
-    n, o = design.n_sensors, design.n_orient
-    s = design.n_locations
-    if o == 1:
-        return np.einsum("ns,ns->s", design.entries.reshape(n, s),
-                         design.entries.reshape(n, s))
-    # (s, o, n): one batched matmul forms every o x o Gram matrix
-    st = design.entries.reshape(n, s, o).transpose(1, 2, 0)
-    grams = st @ st.transpose(0, 2, 1)
-    return np.linalg.eigvalsh(grams)[:, -1]
+    if "_lipschitz" not in design.__dict__:
+        g, o = design.entries, design.n_orient
+        if o == 1:
+            lips = np.einsum("ns,ns->s", g, g)
+        else:
+            # (s, o, n) view of G^T: one batched matmul forms every Gram
+            st = g.T.reshape(-1, o, design.n_sensors)
+            lips = np.linalg.eigvalsh(st @ st.transpose(0, 2, 1))[:, -1]
+        lips.setflags(write=False)
+        object.__setattr__(design, "_lipschitz", lips)
+    return design._lipschitz
 
 
 def group_soft_threshold(block: np.ndarray, threshold: float) -> np.ndarray:

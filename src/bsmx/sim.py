@@ -488,6 +488,16 @@ def solve_with_method(m: Measurements, g: BlockDesign, lam_fraction: float,
     raise ValueError(f"unknown method {method!r}; expected 'mxne' or 'irmxne'")
 
 
+def _resample_size(fraction: float, n_resamples: int, n_trials: int) -> int:
+    """Trials per resample, after the checks of :func:`resample_stability`."""
+    if not 0 < fraction < 1 or round(fraction * n_trials) < 1:
+        raise ValueError(f"resample fraction {fraction} of {n_trials} trials "
+                         "is not in (0, 1) or leaves no usable subset")
+    if n_resamples < 2:
+        raise ValueError(f"need at least two resamples, got {n_resamples}")
+    return int(round(fraction * n_trials))
+
+
 def resample_stability(scenario: Scenario, fraction: float, n_resamples: int,
                        lam_fraction: float, config: SolverConfig, *,
                        method: str = "mxne",
@@ -500,17 +510,8 @@ def resample_stability(scenario: Scenario, fraction: float, n_resamples: int,
     support. Krippendorff's alpha treats resamples as coders and
     restricts the units to locations selected at least once.
     """
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must lie in (0, 1)")
-    if n_resamples < 2:
-        raise ValueError("need at least two resamples")
     n_trials = scenario.trials.shape[0]
-    k = int(round(fraction * n_trials))
-    if k < 1 or k > n_trials:
-        raise ValueError(
-            f"fraction {fraction} of {n_trials} trials leaves no usable subset"
-        )
-
+    k = _resample_size(fraction, n_resamples, n_trials)
     rng = np.random.default_rng(rng_seed)
     s = scenario.design.n_locations
     selection = np.zeros((n_resamples, s), dtype=np.uint8)

@@ -478,6 +478,43 @@ def test_benchmark_rejects_unknown_method_before_running(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_benchmark_rejects_nonpositive_lambda_before_running(
+        tmp_path, monkeypatch, caplog):
+    ran = []
+    monkeypatch.setattr(cli, "_run_benchmark_method",
+                        lambda name, *args: ran.append(name))
+    out = tmp_path / "bench"
+    rc = main(["benchmark", "--seed", "0", "--n-sensors", "10",
+               "--n-locations", "20", "--n-times", "4", "--lambda-pct", "50",
+               "--lambda-pct", "0", "--out", str(out)])
+    assert rc == 2
+    assert "lambda_pct must be positive" in caplog.text
+    assert ran == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--resamples", "1"], "need at least two resamples"),
+    (["--resamples", "3", "--resample-fraction", "1.5"],
+     "resample fraction 1.5 of 8 trials is not in (0, 1)"),
+    (["--resamples", "3", "--resample-fraction", "0.01"],
+     "resample fraction 0.01 of 8 trials"),
+    (["--lambda-pct", "0"], "lambda_pct must be positive"),
+])
+def test_simulate_rejects_bad_options_before_solving(tmp_path, monkeypatch,
+                                                     caplog, flags, message):
+    ran = []
+    monkeypatch.setattr(cli, "solve_with_method",
+                        lambda *args: ran.append(args))
+    out = tmp_path / "sim"
+    rc = main(["simulate", *SIM_ARGS, "--seed", "1", "--lambda-pct", "50",
+               *flags, "--out", str(out)])
+    assert rc == 2
+    assert message in caplog.text
+    assert ran == []
+    assert not out.exists()
+
+
 def test_benchmark_config_lists_methods(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"methods": ["bcd_as", "pgd_as"]}))

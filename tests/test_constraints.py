@@ -8,7 +8,7 @@ from bsmx.constraints import (
 )
 from bsmx.model import BlockDesign, BlockSparseEstimate, Measurements, densify
 from bsmx.mxne import lambda_max
-from bsmx.prox import block_lipschitz
+from bsmx.prox import block_lipschitz, block_lipschitz_all
 
 from helpers import make_instance
 
@@ -47,12 +47,19 @@ def test_transforms_copy_unless_told_not_to():
     # in place: the same bits, in g's own array, still read-only
     fresh = BlockDesign(before, g.n_locations, 3)
     arr = fresh.entries
+    # a consumed design's stored constants never reach the design made
+    # over its array: each returned design has those of its own entries
+    block_lipschitz_all(fresh)
     loose_in_place = apply_loose_orientation(fresh, 0.6, copy=False)
+    assert (block_lipschitz_all(loose_in_place).tobytes()
+            == block_lipschitz_all(loose).tobytes())
     weighted_in_place, _ = apply_depth_weights(loose_in_place, 0.8,
                                                copy=False)
     assert weighted_in_place.entries is arr
     assert weighted_in_place.entries.tobytes() == weighted.entries.tobytes()
     assert not arr.flags.writeable
+    assert (block_lipschitz_all(weighted_in_place).tobytes()
+            == block_lipschitz_all(weighted).tobytes())
 
 
 def test_loose_composition():

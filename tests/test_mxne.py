@@ -26,7 +26,7 @@ from bsmx.mxne import (
     _top_violators,
 )
 from bsmx.oracle import solve_proximal_gradient
-from bsmx.prox import group_soft_threshold
+from bsmx.prox import block_lipschitz_all, group_soft_threshold
 
 from helpers import dense_primal, make_instance, orthonormal_design
 
@@ -285,6 +285,42 @@ def test_solve_bcd_rejects_degenerate_candidate_block():
     est, trace = solve_bcd(m, g, None, lam, 1e-10, candidates=others)
     assert trace.final.gap < 1e-10
     assert est.n_active > 0 and 3 not in est.active_set
+
+
+def _first_sweep(m, g, s, lam, lip):
+    """Block ``s`` after one BCD sweep from zero with step ``1 / lip``."""
+    step = 1.0 / lip
+    x_bar = 0.0 + step * (np.ascontiguousarray(g.entries.T[[s]]) @ m.entries)
+    x_bar *= 1.0 - step * lam / np.sqrt((x_bar * x_bar).sum())
+    return x_bar
+
+
+def test_solve_bcd_steps_with_the_design_constant():
+    # a one-location design's constant can differ in its last bit from the
+    # full design's (einsum sums a lone column in another order); a
+    # one-candidate call must still take the design's step
+    rng = np.random.default_rng(3)
+    m, g, _ = make_instance(rng, n_orient=1)
+    lam = 0.1 * lambda_max(m, g)
+    lips = block_lipschitz_all(g)
+    picked = None
+    for s in range(g.n_locations):
+        alone = block_lipschitz_all(BlockDesign(g.entries[:, [s]], 1, 1))[0]
+        own = _first_sweep(m, g, s, lam, lips[s])
+        if not np.array_equal(own, _first_sweep(m, g, s, lam, alone)):
+            picked = s
+            break
+    assert picked is not None
+    # one block is solved exactly by its first sweep: the gap may pass
+    trace = ConvergenceTrace()
+    try:
+        est, _ = solve_bcd(m, g, None, lam, 1e-300, candidates=[picked],
+                           max_iter=1, trace=trace)
+    except IterationLimitError as exc:
+        est = exc.estimate
+    assert len(trace) == 2  # the entry gap, then the one sweep's
+    assert est.active_set == (picked,)
+    assert est.coef.tobytes() == own.tobytes()
 
 
 def test_solve_bcd_iteration_cap_carries_state():

@@ -194,8 +194,15 @@ def _load_problem(args):
 
     The design is weighted by orientation (``--loose``) and then by depth
     (``--depth``), each in place on the gain as read; a fractional lambda
-    resolves against the weighted design.
+    resolves against the weighted design. The lambda option is checked
+    before any file is read.
     """
+    if (args.lam is None) == (args.lambda_pct is None):
+        raise ValueError("give exactly one of --lambda or --lambda-pct")
+    flag, value = (("--lambda", args.lam) if args.lambda_pct is None
+                   else ("--lambda-pct", args.lambda_pct))
+    if not 0 < value < np.inf:
+        raise ValueError(f"{flag} must be positive and finite, got {value}")
     design, data = _read_gain_and_data(args.gain, args.data, args.n_orient)
     if args.loose is not None:
         design = apply_loose_orientation(design, args.loose, copy=False)
@@ -205,8 +212,6 @@ def _load_problem(args):
                                                     copy=False)
 
     lam = args.lam
-    if (lam is None) == (args.lambda_pct is None):
-        raise ValueError("give exactly one of --lambda or --lambda-pct")
     if lam is None:
         lam = args.lambda_pct / 100.0 * lambda_max(data, design)
     return data, design, depth_weights, lam

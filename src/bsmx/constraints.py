@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BlockDesign, BlockSparseEstimate, _unpack
-from .prox import block_lipschitz_all
+from .model import BlockDesign, BlockSparseEstimate, _scale_blocks
+from .prox import _check_blocks, block_lipschitz_all
 
 __all__ = [
     "DepthWeights",
@@ -103,12 +103,7 @@ def apply_depth_weights(g: BlockDesign, gamma: float, *, copy: bool = True):
     """
     if not 0 <= gamma <= 1:
         raise ValueError("gamma must lie in [0, 1]")
-    lips = block_lipschitz_all(g)
-    bad = np.flatnonzero(lips <= 0)
-    if bad.size:
-        raise ValueError(f"degenerate design block at location {bad[0]}: "
-                         "all entries are zero")
-    scale = np.sqrt(lips) ** (-gamma)
+    scale = np.sqrt(_check_blocks(block_lipschitz_all(g))) ** (-gamma)
     weights = DepthWeights(gamma=gamma, per_location_scale=scale)
     weighted = _scale_columns(g, np.repeat(scale, g.n_orient), copy)
     return weighted, weights
@@ -129,6 +124,4 @@ def undo_depth_weights(est: BlockSparseEstimate,
             f"depth weights cover {scale.shape[0]} locations, estimate has "
             f"{est.n_locations}"
         )
-    factors = np.repeat(scale[list(est.active_set)], est.n_orient)
-    return _unpack(est.coef * factors[:, None], est.active_set,
-                   est.n_locations, est.n_orient)
+    return _scale_blocks(est, scale[list(est.active_set)])

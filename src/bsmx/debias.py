@@ -21,7 +21,7 @@ from .model import (
     BlockSparseEstimate,
     Measurements,
     _check_paired,
-    _unpack,
+    _scale_blocks,
 )
 
 __all__ = ["ScalingFactors", "estimate_scaling", "apply_scaling"]
@@ -100,6 +100,4 @@ def apply_scaling(est: BlockSparseEstimate,
     """Multiply each active block by its scaling factor; support unchanged."""
     if scaling.active_set != est.active_set:
         raise ValueError("scaling factors do not match the estimate's active set")
-    factors = np.repeat(scaling.d, est.n_orient)
-    return _unpack(est.coef * factors[:, None], est.active_set,
-                   est.n_locations, est.n_orient)
+    return _scale_blocks(est, scaling.d)

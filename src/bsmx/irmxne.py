@@ -32,7 +32,7 @@ from .model import (
     _check_paired,
     _compress_time,
     _pack,
-    _unpack,
+    _scale_blocks,
     residual,
 )
 from .mxne import (
@@ -139,8 +139,7 @@ def _solve_surrogate(
     and is left out of the warm start.
     """
     cand = np.flatnonzero(weights > 0)
-    kept = np.repeat(weights[list(prev.active_set)] > 0, g.n_orient)
-    warm = _unpack(prev.coef[kept], cand, g.n_locations, g.n_orient)
+    warm = _scale_blocks(prev, weights[list(prev.active_set)] > 0)
     # solve_bcd reads the penalty only on the candidates
     lam_vec = np.full(g.n_locations, lam)
     lam_vec[cand] /= weights[cand]

@@ -8,6 +8,9 @@ with the recovered support rather than with the full source space.
 
 All types are immutable, their arrays read-only (copied unless adopted by
 ``BlockDesign._adopt``); values derived from one are memoized on it.
+
+Every product ``G_C X_C`` of a residual or forward pass is formed by
+:func:`_forward_rows`, from the rows of ``G^T`` of the locations ``C``.
 """
 
 from __future__ import annotations
@@ -385,9 +388,24 @@ def _check_paired(m: Measurements, g: BlockDesign, est: Optional[BlockSparseEsti
             )
 
 
+def _scale_blocks(est: BlockSparseEstimate,
+                  factors: np.ndarray) -> BlockSparseEstimate:
+    """``est`` with block ``i`` multiplied by ``factors[i]``, one factor
+    per active location; blocks that become exactly zero are dropped."""
+    return _unpack(est.coef * np.repeat(factors, est.n_orient)[:, None],
+                   est.active_set, est.n_locations, est.n_orient)
+
+
+def _forward_rows(gt: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """``G_C X_C`` from the rows ``gt`` of ``G^T`` of the locations ``C``
+    and their packed coefficients ``coef``."""
+    return gt.T @ coef
+
+
 def _forward(g: BlockDesign, est: BlockSparseEstimate) -> np.ndarray:
     """``G X``, from the design columns of the support only."""
-    return g.entries[:, g.column_indices(est.active_set)] @ est.coef
+    return _forward_rows(g.entries.T[g.column_indices(est.active_set)],
+                         est.coef)
 
 
 def residual(m: Measurements, g: BlockDesign, est: BlockSparseEstimate) -> np.ndarray:

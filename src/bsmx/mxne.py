@@ -9,6 +9,8 @@ through the duality gap.
 
 ``lam`` may be a scalar or a per-location vector; the vector form solves
 the weighted-penalty problem ``... + sum_s lam[s] * ||X_s||_Fro``.
+Every entry point checks its inputs with :func:`_check_inputs`; every
+certificate, full or restricted, is a report of :func:`_gap`.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from .model import (
     _change_time_basis,
     _check_paired,
     _compress_time,
+    _forward_rows,
     _pack,
+    _scale_blocks,
     _unpack,
     residual,
 )
-from .prox import _location_norms, block_lipschitz_all
+from .prox import _check_blocks, _location_norms, block_lipschitz_all
 
 __all__ = [
     "GapReport",
@@ -133,17 +137,29 @@ class ConvergenceTrace:
         return len(self.rows)
 
 
-def _lam_vector(lam: Union[float, np.ndarray], n_locations: int) -> np.ndarray:
-    arr = np.asarray(lam, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n_locations, float(arr))
-    elif arr.shape != (n_locations,):
-        raise ValueError(
-            f"lam must be a scalar or a vector of length {n_locations}"
-        )
-    if not np.all(arr > 0) or not np.all(np.isfinite(arr)):
+def _check_inputs(m: Measurements, g: BlockDesign, lam, est=None,
+                  gap_tol=None, candidates=None) -> Tuple[np.ndarray, List[int]]:
+    """Check that data, design and estimate are paired, that ``lam`` is a
+    positive finite scalar or per-location vector and that ``gap_tol`` (if
+    given) is positive. Returns the per-location ``lam`` vector and the
+    sorted distinct candidate locations (all of them by default)."""
+    _check_paired(m, g, est)
+    if gap_tol is not None and not gap_tol > 0:
+        raise ValueError("gap_tol must be positive")
+    n_loc = g.n_locations
+    lam_vec = np.asarray(lam, dtype=float)
+    if lam_vec.ndim == 0:
+        lam_vec = np.full(n_loc, float(lam_vec))
+    elif lam_vec.shape != (n_loc,):
+        raise ValueError(f"lam must be a scalar or a vector of length {n_loc}")
+    if not np.all(lam_vec > 0) or not np.all(np.isfinite(lam_vec)):
         raise ValueError("lam must be positive and finite")
-    return arr
+    if candidates is None:
+        return lam_vec, list(range(n_loc))
+    cand = sorted(set(int(s) for s in candidates))
+    if cand and (cand[0] < 0 or cand[-1] >= n_loc):
+        raise ValueError("candidate index out of range")
+    return lam_vec, cand
 
 
 def _primal(r: np.ndarray, coef: np.ndarray, lam_vec: np.ndarray,
@@ -172,13 +188,29 @@ def _scaled_dual(r: np.ndarray, gt: np.ndarray, lam_vec: np.ndarray,
     The point is ``Y = R / max(max_s ||G_s^T R||_Fro / lam_s, 1)``.
     """
     norms = _scores(gt, r, n_orient)
-    return r / max(float((norms / lam_vec).max()), 1.0), norms
+    return r / float((norms / lam_vec).max(initial=1.0)), norms
+
+
+def _gap(m: Measurements, r: np.ndarray, coef: np.ndarray,
+         coef_lam: np.ndarray, gt: np.ndarray, lam_vec: np.ndarray,
+         n_orient: int) -> Tuple[GapReport, np.ndarray]:
+    """Duality gap of the packed ``X_C`` (penalty ``coef_lam``) with
+    residual ``R = M - G_C X_C``, and the scores ``||G_s^T R||_Fro``.
+
+    ``gt`` holds the rows of ``G^T`` of the locations the problem ranges
+    over (all of them, or a restricted problem's candidates ``C``) and
+    ``lam_vec`` their penalty. The scores are the violation scores.
+    """
+    y, norms = _scaled_dual(r, gt, lam_vec, n_orient)
+    primal = _primal(r, coef, coef_lam, n_orient)
+    dual = dual_objective(m, y)
+    return GapReport(primal=primal, dual=dual, gap=primal - dual), norms
 
 
 def primal_objective(m: Measurements, g: BlockDesign, est: BlockSparseEstimate,
                      lam: Union[float, np.ndarray]) -> float:
     """Value of ``0.5 * ||M - G X||_Fro^2 + sum_s lam_s ||X_s||_Fro``."""
-    lam_vec = _lam_vector(lam, g.n_locations)
+    lam_vec, _ = _check_inputs(m, g, lam, est)
     r = residual(m, g, est)
     return _primal(r, est.coef, lam_vec[list(est.active_set)], g.n_orient)
 
@@ -192,8 +224,9 @@ def dual_map(residual_tilde: np.ndarray, g: BlockDesign,
     ``||G_s^T Y||_Fro <= lam_s`` for every location and leaves an already
     feasible residual untouched.
     """
-    lam_vec = _lam_vector(lam, g.n_locations)
-    return _scaled_dual(residual_tilde, g.entries.T, lam_vec, g.n_orient)[0]
+    r = Measurements(residual_tilde)
+    lam_vec, _ = _check_inputs(r, g, lam)
+    return _scaled_dual(r.entries, g.entries.T, lam_vec, g.n_orient)[0]
 
 
 def dual_objective(m: Measurements, y: np.ndarray) -> float:
@@ -210,22 +243,6 @@ def dual_objective(m: Measurements, y: np.ndarray) -> float:
     return float((y * m.entries).sum() - 0.5 * (y * y).sum())
 
 
-def _gap_and_scores(
-    m: Measurements, g: BlockDesign, est: BlockSparseEstimate,
-    lam_vec: np.ndarray,
-) -> Tuple[GapReport, np.ndarray]:
-    """Full-problem duality gap plus the per-location correlation norms.
-
-    The correlation norms ``||G_s^T R||_Fro`` double as the active-set
-    violation scores, so they are returned to avoid a second scan.
-    """
-    r = residual(m, g, est)
-    y, norms = _scaled_dual(r, g.entries.T, lam_vec, g.n_orient)
-    primal = _primal(r, est.coef, lam_vec[list(est.active_set)], g.n_orient)
-    dual = dual_objective(m, y)
-    return GapReport(primal=primal, dual=dual, gap=primal - dual), norms
-
-
 def duality_gap(m: Measurements, g: BlockDesign, est: BlockSparseEstimate,
                 lam: Union[float, np.ndarray]) -> GapReport:
     """Duality gap of an estimate on the full problem.
@@ -233,10 +250,10 @@ def duality_gap(m: Measurements, g: BlockDesign, est: BlockSparseEstimate,
     Nonnegative up to roundoff, zero exactly at the optimum, and an upper
     bound on the primal suboptimality of ``est``.
     """
-    _check_paired(m, g, est)
-    lam_vec = _lam_vector(lam, g.n_locations)
-    report, _ = _gap_and_scores(m, g, est, lam_vec)
-    return report
+    lam_vec, _ = _check_inputs(m, g, lam, est)
+    return _gap(m, residual(m, g, est), est.coef,
+                lam_vec[list(est.active_set)], g.entries.T, lam_vec,
+                g.n_orient)[0]
 
 
 def lambda_max(m: Measurements, g: BlockDesign) -> float:
@@ -288,6 +305,10 @@ def solve_bcd(
     extrapolates if due, then sweeps; iteration stops when the gap drops
     below ``gap_tol``. Every trace row is therefore the gap of an iterate
     a sweep produced, and a call adds one row more than it runs sweeps.
+    That gap is the full check's :func:`_gap` over the candidates' rows of
+    ``G^T``, fresh residuals use :func:`bsmx.model._forward_rows`, and the
+    inputs pass :func:`_check_inputs`, as in every entry point. With no
+    candidates, the zero estimate is certified with a gap of exactly 0.
 
     Parameters
     ----------
@@ -311,40 +332,19 @@ def solve_bcd(
         If ``max_iter`` sweeps pass without reaching the tolerance. The
         error carries the last iterate and its gap.
     """
-    if not gap_tol > 0:
-        raise ValueError("gap_tol must be positive")
-    _check_paired(m, g, init)
+    lam_vec, cand = _check_inputs(m, g, lam, init, gap_tol, candidates)
     n_loc, n_orient, n_times = g.n_locations, g.n_orient, m.n_times
-    lam_vec = _lam_vector(lam, n_loc)
-
-    if candidates is None:
-        cand = list(range(n_loc))
-    else:
-        cand = sorted(set(int(s) for s in candidates))
-        if cand and (cand[0] < 0 or cand[-1] >= n_loc):
-            raise ValueError("candidate index out of range")
     if trace is None:
         trace = ConvergenceTrace()
 
-    if not cand:
-        # restricted to nothing, the zero estimate is trivially optimal
-        est = BlockSparseEstimate.empty(n_loc, n_orient, n_times)
-        primal = 0.5 * float((m.entries * m.entries).sum())
-        trace.add(0.0, 0, primal)
-        return est, trace
-
     n_cand = len(cand)
-    lips = block_lipschitz_all(g)[cand]
-    zero = np.flatnonzero(lips <= 0)
-    if zero.size:
-        raise ValueError(f"degenerate design block at location "
-                         f"{cand[zero[0]]}: all entries are zero")
-    steps = 1.0 / lips
+    steps = 1.0 / _check_blocks(block_lipschitz_all(g)[cand], cand)
     # contiguous copy; g_cand_t[i * O:(i + 1) * O] is G_s^T of candidate i
     g_cand_t = g.entries.T[g.column_indices(cand)]
 
     x = _pack(init, cand, n_orient, n_times)
-    active = x.reshape(n_cand, -1).any(axis=1).tolist()
+    x_blocks = x.reshape(n_cand, n_orient * n_times)
+    active = x_blocks.any(axis=1).tolist()
     lam_cand = lam_vec[cand]
     x_flat = x.reshape(-1)
     # row 0: iterate at the start of the window; row k: change of sweep k
@@ -357,12 +357,7 @@ def solve_bcd(
     ]
 
     def fresh_residual(coef):
-        return m.entries - g_cand_t.T @ coef
-
-    def restricted_gap(r):
-        primal = _primal(r, x, lam_cand, n_orient)
-        y, _ = _scaled_dual(r, g_cand_t, lam_cand, n_orient)
-        return primal, primal - dual_objective(m, y)
+        return m.entries - _forward_rows(g_cand_t, coef)
 
     def extrapolate(primal):
         """Anderson point of the last window, or None if it is no better."""
@@ -389,7 +384,8 @@ def solve_bcd(
     r = fresh_residual(x)
     sweeps = 0
     while True:
-        primal, gap = restricted_gap(r)
+        report, _ = _gap(m, r, x, lam_cand, g_cand_t, lam_cand, n_orient)
+        primal, gap = report.primal, report.gap
         trace.add(gap, sum(active), primal)
         if gap < gap_tol:
             break
@@ -407,7 +403,7 @@ def solve_bcd(
                 if accepted is not None:
                     x_e, r = accepted
                     x[...] = x_e
-                    active = x.reshape(n_cand, -1).any(axis=1).tolist()
+                    active = x_blocks.any(axis=1).tolist()
             history[0] = x_flat
         history[k + 1] = x_flat
         for i, g_s_t, g_s, x_s, step, thr in sweep_args:
@@ -510,7 +506,7 @@ def solve_active_set(
         If the outer loop exceeds ``n_locations / active_batch + 10``
         expansions, or an inner solve exceeds its own cap.
     """
-    _check_paired(m, g, warm)
+    lam_vec, _ = _check_inputs(m, g, lam, warm)
     if inner not in ("bcd", "pgd"):
         raise ValueError(f"unknown inner solver {inner!r}")
     m_short, vt = _compress_time(m)
@@ -526,7 +522,6 @@ def solve_active_set(
             raise
         return _change_time_basis(est, vt), trace
     n_loc, n_orient, n_times = g.n_locations, g.n_orient, m.n_times
-    lam_vec = _lam_vector(lam, n_loc)
 
     valid = block_lipschitz_all(g) > 0
     if not valid.all():
@@ -541,9 +536,7 @@ def solve_active_set(
         est = BlockSparseEstimate.empty(n_loc, n_orient, n_times)
     else:
         # blocks of excluded locations are scaled to zero and dropped
-        keep = np.repeat(valid[list(warm.active_set)], n_orient)
-        est = _unpack(warm.coef * keep[:, None], warm.active_set, n_loc,
-                      n_orient)
+        est = _scale_blocks(warm, valid[list(warm.active_set)])
 
     if trace is None:
         trace = ConvergenceTrace()
@@ -551,7 +544,9 @@ def solve_active_set(
     active = set(est.active_set)
     outer_cap = n_loc // config.active_batch + 10
     for outer in range(outer_cap + 1):
-        report, norms = _gap_and_scores(m, g, est, lam_vec)
+        report, norms = _gap(m, residual(m, g, est), est.coef,
+                             lam_vec[list(est.active_set)], g.entries.T,
+                             lam_vec, n_orient)
         trace.add(report.gap, est.n_active, report.primal)
         if report.gap < config.gap_tol:
             return est, trace

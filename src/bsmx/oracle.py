@@ -17,17 +17,11 @@ from .model import (
     BlockDesign,
     BlockSparseEstimate,
     Measurements,
-    _check_paired,
+    _forward_rows,
     _pack,
     _unpack,
 )
-from .mxne import (
-    IterationLimitError,
-    _lam_vector,
-    _primal,
-    _scaled_dual,
-    dual_objective,
-)
+from .mxne import IterationLimitError, _check_inputs, _gap, _primal
 from .prox import prox_blocks
 
 __all__ = ["global_lipschitz", "solve_proximal_gradient"]
@@ -85,26 +79,16 @@ def solve_proximal_gradient(
     IterationLimitError
         If ``max_iter`` iterations pass without reaching ``gap_tol``.
     """
-    if not gap_tol > 0:
-        raise ValueError("gap_tol must be positive")
-    _check_paired(m, g, init)
-    lam_full = _lam_vector(lam, g.n_locations)
+    lam_full, cand = _check_inputs(m, g, lam, init, gap_tol, candidates)
     n_orient, n_times = g.n_orient, m.n_times
-
-    if candidates is None:
-        cand = np.arange(g.n_locations)
-        sub = g
-    else:
-        cand = np.asarray(sorted(set(int(s) for s in candidates)), dtype=int)
-        if cand.size and (cand[0] < 0 or cand[-1] >= g.n_locations):
-            raise ValueError("candidate index out of range")
-        sub = BlockDesign._adopt(g.entries[:, g.column_indices(cand)],
-                                 len(cand), n_orient)
-    if cand.size == 0:
+    if not cand:
         return BlockSparseEstimate.empty(g.n_locations, n_orient, n_times)
+    sub = g if candidates is None else BlockDesign._adopt(
+        g.entries[:, g.column_indices(cand)], len(cand), n_orient)
     lam_vec = lam_full[cand]
 
-    a = sub.entries
+    # gt[i * O:(i + 1) * O] is G_s^T of candidate i
+    gt = sub.entries.T
     mm = m.entries
     lip = global_lipschitz(sub)
     if lip <= 0:
@@ -112,21 +96,17 @@ def solve_proximal_gradient(
     step = 1.0 / lip
     thresholds = step * lam_vec
 
-    def gap_of(x, r):
-        y, _ = _scaled_dual(r, a.T, lam_vec, n_orient)
-        return _primal(r, x, lam_vec, n_orient) - dual_objective(m, y)
-
     def prox_step(z):
         """Proximal gradient step from ``z``: iterate, residual, primal."""
-        grad_point = z + step * (a.T @ (mm - a @ z))
+        grad_point = z + step * (gt @ (mm - _forward_rows(gt, z)))
         x_new = prox_blocks(grad_point, thresholds, n_orient)
-        r_new = mm - a @ x_new
+        r_new = mm - _forward_rows(gt, x_new)
         return x_new, r_new, _primal(r_new, x_new, lam_vec, n_orient)
 
     x = _pack(init, cand, n_orient, n_times)
-    r = mm - a @ x
+    r = mm - _forward_rows(gt, x)
     f_x = _primal(r, x, lam_vec, n_orient)
-    if gap_of(x, r) < gap_tol:
+    if _gap(m, r, x, lam_vec, gt, lam_vec, n_orient)[0].gap < gap_tol:
         return _unpack(x, cand, g.n_locations, n_orient)
 
     z = x.copy()
@@ -139,13 +119,14 @@ def solve_proximal_gradient(
             x_new, r_new, f_new = prox_step(x)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        x, f_x, t = x_new, f_new, t_new
+        x, r, f_x, t = x_new, r_new, f_new, t_new
         if callback is not None:
             callback(it, x, f_x)
-        if it % _GAP_CHECK_EVERY == 0 and gap_of(x, r_new) < gap_tol:
+        if it % _GAP_CHECK_EVERY == 0 and _gap(
+                m, r, x, lam_vec, gt, lam_vec, n_orient)[0].gap < gap_tol:
             return _unpack(x, cand, g.n_locations, n_orient)
 
-    gap = gap_of(x, mm - a @ x)
+    gap = _gap(m, r, x, lam_vec, gt, lam_vec, n_orient)[0].gap
     raise IterationLimitError(
         f"proximal gradient did not reach gap {gap_tol:g} within "
         f"{max_iter} iterations (gap={gap:.3e})",

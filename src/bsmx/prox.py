@@ -34,6 +34,17 @@ def prox_blocks(x: np.ndarray, thresholds: np.ndarray, n_orient: int) -> np.ndar
     return out
 
 
+def _check_blocks(lips: np.ndarray, locations=None) -> np.ndarray:
+    """``lips``, once no block is all-zero (its step ``1 / L_s`` would be
+    undefined); ``locations[i]`` (default ``i``) names block ``i``."""
+    bad = np.flatnonzero(lips <= 0)
+    if bad.size:
+        s = bad[0] if locations is None else locations[bad[0]]
+        raise ValueError(f"degenerate design block at location {s}: "
+                         "all entries are zero")
+    return lips
+
+
 def block_lipschitz(block: np.ndarray) -> float:
     """Curvature constant of the data fit restricted to one block.
 
@@ -50,9 +61,7 @@ def block_lipschitz(block: np.ndarray) -> float:
     if np.ndim(block) != 2:
         raise ValueError("design block must be 2-D")
     lips = block_lipschitz_all(BlockDesign(block, 1, np.shape(block)[1]))
-    if not lips[0] > 0:
-        raise ValueError("degenerate design block: all entries are zero")
-    return float(lips[0])
+    return float(_check_blocks(lips)[0])
 
 
 def block_lipschitz_all(design: BlockDesign) -> np.ndarray:

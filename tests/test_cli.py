@@ -241,6 +241,29 @@ def test_missing_lambda_exits_2(problem_files, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("flag, value", [
+    ("--lambda-pct", "0"), ("--lambda-pct", "-5"), ("--lambda", "0"),
+    ("--lambda", "nan"), ("--lambda", "inf"),
+])
+def test_bad_lambda_exits_2_before_any_work(problem_files, tmp_path,
+                                            monkeypatch, caplog, command,
+                                            flag, value):
+    gain, data, _, _ = problem_files
+    read = []
+    monkeypatch.setattr(cli, "_read_gain_and_data",
+                        lambda *args: read.append(args))
+    out = tmp_path / "x"
+    extra = (["--out", str(out)] if command == "solve"
+             else ["--estimate", str(tmp_path / "estimate.json")])
+    rc = main([command, "--gain", str(gain), "--data", str(data),
+               flag, value, *extra])
+    assert rc == 2
+    assert f"{flag} must be positive and finite" in caplog.text
+    assert read == []
+    assert not out.exists()
+
+
 def test_solver_failure_exits_3(problem_files, tmp_path):
     gain, data, _, _ = problem_files
     rc = main(["solve", "--gain", str(gain), "--data", str(data),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bsmx.irmxne
 import bsmx.mxne
 import bsmx.oracle
 from bsmx.model import (
@@ -693,3 +694,115 @@ def test_trace_to_csv(tmp_path):
     assert float(parts[1]) == 1e-7
     assert int(parts[2]) == 3
     assert float(parts[3]) == 9.5
+
+
+def _entry_points():
+    """The six public entry points, each called with the inputs of one
+    case: ``(m, g, est, lam, gap_tol, candidates)``."""
+    return {
+        "solve_bcd": lambda m, g, est, lam, tol, cand: solve_bcd(
+            m, g, est, lam, tol, candidates=cand),
+        "solve_active_set": lambda m, g, est, lam, tol, cand:
+            solve_active_set(m, g, est, lam, SolverConfig(gap_tol=tol)),
+        "solve_proximal_gradient": lambda m, g, est, lam, tol, cand:
+            solve_proximal_gradient(m, g, lam, tol, candidates=cand,
+                                    init=est),
+        "duality_gap": lambda m, g, est, lam, tol, cand:
+            duality_gap(m, g, est, lam),
+        "primal_objective": lambda m, g, est, lam, tol, cand:
+            primal_objective(m, g, est, lam),
+        "dual_map": lambda m, g, est, lam, tol, cand:
+            dual_map(m.entries, g, lam),
+    }
+
+
+# entry points that take an estimate, a gap tolerance or candidates
+_TAKES = {
+    "est": ("solve_bcd", "solve_active_set", "solve_proximal_gradient",
+            "duality_gap", "primal_objective"),
+    "tol": ("solve_bcd", "solve_active_set", "solve_proximal_gradient"),
+    "cand": ("solve_bcd", "solve_proximal_gradient"),
+}
+_BAD_INPUTS = {
+    "lam_zero": None, "lam_nan": None, "lam_inf": None, "lam_length": None,
+    "lam_negative_entry": None, "data_rows": None,
+    "est_locations": "est", "est_times": "est", "gap_tol_zero": "tol",
+    "candidate_negative": "cand", "candidate_past_end": "cand",
+}
+
+
+def _case_inputs(case):
+    rng = np.random.default_rng(40)
+    m, g, _ = make_instance(rng, n_sensors=8, n_locations=6, n_orient=2,
+                            n_times=3)
+    s, o, t = g.n_locations, g.n_orient, m.n_times
+    lam_vec = np.full(s, 0.5 * lambda_max(m, g))
+    negative = lam_vec.copy()
+    negative[2] = -1.0
+    inputs = dict(m=m, g=g, est=BlockSparseEstimate.empty(s, o, t),
+                  lam=lam_vec, tol=1e-8, cand=None)
+    inputs.update({
+        "valid": {},
+        "lam_zero": {"lam": 0.0},
+        "lam_nan": {"lam": math.nan},
+        "lam_inf": {"lam": math.inf},
+        "lam_length": {"lam": lam_vec[:-1]},
+        "lam_negative_entry": {"lam": negative},
+        "data_rows": {"m": Measurements(m.entries[:-1])},
+        "est_locations": {"est": BlockSparseEstimate.empty(s + 1, o, t)},
+        "est_times": {"est": BlockSparseEstimate.empty(s, o, t + 1)},
+        "gap_tol_zero": {"tol": 0.0},
+        "candidate_negative": {"cand": [-1, 0]},
+        "candidate_past_end": {"cand": [s]},
+    }[case])
+    return [inputs[k] for k in ("m", "g", "est", "lam", "tol", "cand")]
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for case, needs in _BAD_INPUTS.items()
+    for entry in _entry_points() if needs is None or entry in _TAKES[needs]
+])
+def test_entry_points_reject_bad_inputs(entry, case):
+    call = _entry_points()[entry]
+    with pytest.raises(ValueError):
+        call(*_case_inputs(case))
+
+
+@pytest.mark.parametrize("entry", list(_entry_points()))
+def test_entry_points_accept_the_valid_case(entry):
+    _entry_points()[entry](*_case_inputs("valid"))
+
+
+def test_every_certificate_is_the_one_gap(monkeypatch):
+    # every trace row of the drivers, and every check of the reference
+    # solver, is a report of bsmx.mxne._gap
+    reports = []
+    one_gap = bsmx.mxne._gap
+
+    def recording(*args):
+        report, scores = one_gap(*args)
+        reports.append((report.gap, report.primal))
+        return report, scores
+
+    monkeypatch.setattr(bsmx.mxne, "_gap", recording)
+    monkeypatch.setattr(bsmx.oracle, "_gap", recording)
+    rng = np.random.default_rng(41)
+    m, g, _ = make_instance(rng, noise=0.2)
+    top = lambda_max(m, g)
+    config = SolverConfig(gap_tol=1e-9)
+    # lam_max: iteration 1 is empty, and reweight 2 has no candidates
+    for lam in (0.3 * top, top):
+        for solve in (
+            lambda: solve_active_set(m, g, None, lam, config)[1],
+            lambda: bsmx.irmxne.solve_irmxne(m, g, lam, config)[2],
+        ):
+            reports.clear()
+            trace = solve()
+            assert [(row.gap, row.primal) for row in trace.rows] == reports
+
+    reports.clear()
+    iterations = []
+    solve_proximal_gradient(m, g, 0.3 * top, 1e-9,
+                            callback=lambda it, x, f: iterations.append(it))
+    assert iterations
+    assert len(reports) == 1 + len(iterations) // bsmx.oracle._GAP_CHECK_EVERY

@@ -20,28 +20,26 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import hashlib
 import json
 import logging
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import astuple, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import __version__, io
 from .constraints import (
-    DepthWeights,
     apply_depth_weights,
     apply_loose_orientation,
     undo_depth_weights,
 )
 from .debias import apply_scaling, estimate_scaling
 from .irmxne import nonconvex_objective, solve_irmxne
-from .model import BlockDesign, Measurements, SolverConfig
+from .model import BlockDesign, Measurements, SolverConfig, _scale_blocks
 from .mxne import (
     IterationLimitError,
     duality_gap,
@@ -89,9 +87,7 @@ def _write_manifest(args, t_start, rng_seeds, inputs=(), **extra):
         "rng_seeds": rng_seeds,
         "wall_time_s": time.perf_counter() - t_start,
     }
-    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    io._write_json(os.path.join(args.out, "manifest.json"), manifest, indent=2)
 
 
 def _load_config_file(path) -> dict:
@@ -194,8 +190,8 @@ def _load_problem(args):
 
     The design is weighted by orientation (``--loose``) and then by depth
     (``--depth``), each in place on the gain as read; a fractional lambda
-    resolves against the weighted design. The lambda option is checked
-    before any file is read.
+    resolves against the weighted design. Every option is checked before
+    any file is read; ``--depth 0`` is the identity.
     """
     if (args.lam is None) == (args.lambda_pct is None):
         raise ValueError("give exactly one of --lambda or --lambda-pct")
@@ -203,11 +199,17 @@ def _load_problem(args):
                    else ("--lambda-pct", args.lambda_pct))
     if not 0 < value < np.inf:
         raise ValueError(f"{flag} must be positive and finite, got {value}")
+    if args.n_orient < 1:
+        raise ValueError(f"--n-orient must be at least 1, got {args.n_orient}")
+    if args.depth is not None and not 0 <= args.depth <= 1:
+        raise ValueError(f"--depth must lie in [0, 1], got {args.depth}")
+    if args.loose is not None and not 0 < args.loose <= 1:
+        raise ValueError(f"--loose must lie in (0, 1], got {args.loose}")
     design, data = _read_gain_and_data(args.gain, args.data, args.n_orient)
     if args.loose is not None:
         design = apply_loose_orientation(design, args.loose, copy=False)
     depth_weights = None
-    if args.depth is not None and args.depth > 0:
+    if args.depth:
         design, depth_weights = apply_depth_weights(design, args.depth,
                                                     copy=False)
 
@@ -231,10 +233,17 @@ def _add_solver_options(parser):
                             type=type(f.default), default=f.default)
 
 
+def _check_lambda_pcts(pcts):
+    """Reject a ``--lambda-pct`` list of ``simulate`` or ``benchmark`` that
+    holds a value that is not positive."""
+    if not all(pct > 0 for pct in pcts):
+        raise ValueError(f"lambda_pct must be positive: {pcts}")
+
+
 def cmd_solve(args) -> int:
     t_start = time.perf_counter()
-    data, design, depth_weights, lam = _load_problem(args)
     config = _solver_config(args)
+    data, design, depth_weights, lam = _load_problem(args)
 
     os.makedirs(args.out, exist_ok=True)
     state = None
@@ -270,14 +279,13 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _simulate_task(payload: dict) -> Tuple[List[dict], Optional[dict]]:
+def _simulate_task(payload: dict) -> Tuple[List[list], Optional[dict]]:
     """One seed of the study: its scenario is drawn once and shared by
     every lambda and method, and by the stability pass when the payload
-    asks for one. Returns the metric rows and the stability entries (None
-    when no pass ran)."""
+    asks for one. Returns the metric rows, in ``metrics.csv`` column
+    order, and the stability entries (None when no pass ran)."""
     seed, config = payload["seed"], payload["config"]
-    spec = ScenarioSpec(**payload["scenario"], rng_seed=seed)
-    scenario = generate_scenario(spec)
+    scenario = generate_scenario(payload["spec"])
     rows = []
     for pct in payload["lambda_pcts"]:
         for method in payload["methods"]:
@@ -288,12 +296,7 @@ def _simulate_task(payload: dict) -> Tuple[List[dict], Optional[dict]]:
                 scaling = estimate_scaling(scenario.m_avg, scenario.design, est)
                 est_deb = apply_scaling(est, scaling)
             report = evaluate(scenario, est, est_deb)
-            rows.append({
-                "seed": seed,
-                "lambda_pct": pct,
-                "method": method,
-                **asdict(report),
-            })
+            rows.append([seed, pct, method, *astuple(report)])
 
     if not payload["resamples"]:
         return rows, None
@@ -323,8 +326,7 @@ def cmd_simulate(args) -> int:
     seeds = args.seed or [_fresh_seed()]
     scenario_params = {name: getattr(args, name) for name in SCENARIO_OPTIONS}
     config = _solver_config(args)
-    if not all(pct > 0 for pct in args.lambda_pct):
-        raise ValueError(f"lambda_pct must be positive: {args.lambda_pct}")
+    _check_lambda_pcts(args.lambda_pct)
     # a count below one runs no stability pass
     n_resamples = max(args.resamples, 0)
     if n_resamples:
@@ -333,7 +335,7 @@ def cmd_simulate(args) -> int:
     payloads = [
         {
             "seed": seed,
-            "scenario": scenario_params,
+            "spec": ScenarioSpec(**scenario_params, rng_seed=seed),
             "lambda_pcts": args.lambda_pct,
             "config": config,
             "methods": args.method,
@@ -353,19 +355,14 @@ def cmd_simulate(args) -> int:
         results = [_simulate_task(p) for p in payloads]
 
     rows = [row for batch, _ in results for row in batch]
-    rows.sort(key=lambda r: (r["seed"], r["lambda_pct"], r["method"]))
+    rows.sort(key=lambda r: r[:3])
     columns = ["seed", "lambda_pct", "method",
                *(f.name for f in fields(MetricsReport))]
-    with open(os.path.join(args.out, "metrics.csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(rows)
+    io._write_csv(os.path.join(args.out, "metrics.csv"), columns, rows)
 
     stability = results[0][1]
     if stability is not None:
-        with open(os.path.join(args.out, "stability.json"), "w") as fh:
-            json.dump(stability, fh)
-            fh.write("\n")
+        io._write_json(os.path.join(args.out, "stability.json"), stability)
 
     _write_manifest(args, t_start, seeds)
     log.info("wrote %d metric rows to %s", len(rows), args.out)
@@ -398,8 +395,8 @@ def cmd_benchmark(args) -> int:
         if name not in BENCH_METHODS:
             raise ValueError(f"unknown benchmark method {name!r}; expected "
                              f"one of {', '.join(BENCH_METHODS)}")
-    if not all(pct > 0 for pct in args.lambda_pct):
-        raise ValueError(f"lambda_pct must be positive: {args.lambda_pct}")
+    _check_lambda_pcts(args.lambda_pct)
+    config = _solver_config(args)
     seed = _fresh_seed() if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     m, design, _ = random_instance(
@@ -407,7 +404,6 @@ def cmd_benchmark(args) -> int:
         n_active=5, noise=0.05,
     )
     lam_top = lambda_max(m, design)
-    config = _solver_config(args)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for pct in args.lambda_pct:
@@ -419,10 +415,8 @@ def cmd_benchmark(args) -> int:
                      name, pct, seconds, final_gap)
             rows.append([name, pct, f"{seconds:.6f}", f"{final_gap:.6e}"])
 
-    with open(os.path.join(args.out, "timings.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "lambda_pct", "seconds", "final_gap"])
-        writer.writerows(rows)
+    io._write_csv(os.path.join(args.out, "timings.csv"),
+                  ["method", "lambda_pct", "seconds", "final_gap"], rows)
 
     _write_manifest(args, t_start, [seed])
     return 0
@@ -440,9 +434,8 @@ def cmd_check(args) -> int:
     if depth_weights is not None:
         # stored estimates refer to the original design; map back to the
         # coordinates the solver actually optimized in
-        inverse = DepthWeights(depth_weights.gamma,
-                               1.0 / depth_weights.per_location_scale)
-        est = undo_depth_weights(est, inverse)
+        scale = depth_weights.per_location_scale
+        est = _scale_blocks(est, 1.0 / scale[list(est.active_set)])
 
     report = duality_gap(data, design, est, lam)
     result = {

@@ -1,12 +1,18 @@
-"""File formats: matrices as CSV or packed binary, estimates as JSON.
+"""File formats: matrices as CSV or packed binary, and every output file.
 
 Binary matrix layout: magic ``BSMX``, two little-endian u32 (rows, cols),
 then row-major little-endian float64 values. CSV matrices are one row per
 line, comma-separated, ``.`` decimal, no header.
+
+Every output file is written here: ``estimate.json``,
+``estimate_debiased.json``, ``reweight_state.json``, ``stability.json`` and
+``manifest.json`` by :func:`_write_json`, and ``trace.csv``, ``metrics.csv``
+and ``timings.csv`` by :func:`_write_csv`; each caller builds the payload.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import struct
 
@@ -25,6 +31,18 @@ __all__ = [
 
 MAGIC = b"BSMX"
 _HEADER = struct.Struct("<4sII")
+
+
+def _write_json(path, payload, indent=None):
+    """Write ``payload`` as one JSON document plus a newline."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=indent) + "\n")
+
+
+def _write_csv(path, header, rows):
+    """Write a ``csv.writer`` table: the ``header`` row, then ``rows``."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def write_matrix_csv(path, a: np.ndarray):
@@ -70,16 +88,13 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_estimate(path, est: BlockSparseEstimate):
-    payload = {
+    _write_json(path, {
         "active_set": list(est.active_set),
         "n_locations": est.n_locations,
         "n_orient": est.n_orient,
         "n_times": est.n_times,
         "blocks": {str(s): b.tolist() for s, b in zip(est.active_set, est.blocks)},
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    })
 
 
 def read_estimate(path) -> BlockSparseEstimate:

@@ -16,13 +16,12 @@ block coordinate descent solve on the prior support.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import mxne
+from . import io, mxne
 from .model import (
     BlockDesign,
     BlockSparseEstimate,
@@ -75,9 +74,7 @@ class ReweightState:
         }
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
+        io._write_json(path, self.to_dict())
 
 
 def nonconvex_objective(m: Measurements, g: BlockDesign,

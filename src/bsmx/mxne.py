@@ -15,7 +15,6 @@ certificate, full or restricted, is a report of :func:`_gap`.
 
 from __future__ import annotations
 
-import csv
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -23,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import io
 from .model import (
     BlockDesign,
     BlockSparseEstimate,
@@ -121,17 +121,11 @@ class ConvergenceTrace:
         return self.rows[-1]
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "gap", "active_size", "primal", "seconds"])
-            for row in self.rows:
-                writer.writerow([
-                    row.iteration,
-                    f"{row.gap:.17g}",
-                    row.active_size,
-                    f"{row.primal:.17g}",
-                    f"{row.seconds:.6f}",
-                ])
+        io._write_csv(
+            path, ["iter", "gap", "active_size", "primal", "seconds"],
+            ([row.iteration, f"{row.gap:.17g}", row.active_size,
+              f"{row.primal:.17g}", f"{row.seconds:.6f}"]
+             for row in self.rows))
 
     def __len__(self):
         return len(self.rows)

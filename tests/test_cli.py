@@ -13,7 +13,9 @@ import pytest
 import bsmx
 from bsmx import cli, io
 from bsmx.cli import main
+from bsmx.irmxne import ReweightState
 from bsmx.model import BlockSparseEstimate, SolverConfig, densify
+from bsmx.mxne import ConvergenceTrace
 from bsmx.sim import random_instance
 
 
@@ -262,6 +264,87 @@ def test_bad_lambda_exits_2_before_any_work(problem_files, tmp_path,
     assert f"{flag} must be positive and finite" in caplog.text
     assert read == []
     assert not out.exists()
+
+
+def _fail_on_call(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return fail
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n-orient", "0", "--n-orient must be at least 1, got 0"),
+    ("--n-orient", "-3", "--n-orient must be at least 1, got -3"),
+    ("--depth", "-1", "--depth must lie in [0, 1], got -1.0"),
+    ("--depth", "1.5", "--depth must lie in [0, 1], got 1.5"),
+    ("--loose", "0", "--loose must lie in (0, 1], got 0.0"),
+    ("--loose", "2", "--loose must lie in (0, 1], got 2.0"),
+])
+def test_bad_problem_option_exits_2_before_reading(problem_files, tmp_path,
+                                                   monkeypatch, caplog,
+                                                   command, flag, value,
+                                                   message):
+    gain, data, _, _ = problem_files
+    monkeypatch.setattr(io, "read_matrix", _fail_on_call("read_matrix"))
+    out = tmp_path / "x"
+    extra = (["--out", str(out)] if command == "solve"
+             else ["--estimate", str(tmp_path / "estimate.json")])
+    rc = main([command, "--gain", str(gain), "--data", str(data),
+               "--lambda-pct", "40", flag, value, *extra])
+    assert rc == 2
+    assert message in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, patched, message", [
+    (["solve", "--lambda-pct", "40", "--gap-tol", "0"], "read_matrix",
+     "gap_tol must be positive"),
+    (["benchmark", "--seed", "0", "--gap-tol", "0"], "random_instance",
+     "gap_tol must be positive"),
+    (["simulate", "--seed", "0", "--n-sensors", "0"], "generate_scenario",
+     "n_sensors must be positive"),
+    (["simulate", "--seed", "0", "--n-orient", "0"], "generate_scenario",
+     "n_orient must be positive"),
+])
+def test_bad_option_exits_2_before_any_work(problem_files, tmp_path,
+                                            monkeypatch, caplog, argv,
+                                            patched, message):
+    gain, data, _, _ = problem_files
+    owner = io if patched == "read_matrix" else cli
+    monkeypatch.setattr(owner, patched, _fail_on_call(patched))
+    if argv[0] == "solve":
+        argv = argv + ["--gain", str(gain), "--data", str(data)]
+    out = tmp_path / "x"
+    rc = main([*argv, "--out", str(out)])
+    assert rc == 2
+    assert message in caplog.text
+    assert not out.exists()
+
+
+def test_solve_writes_through_the_traced_writers(problem_files, tmp_path,
+                                                 monkeypatch):
+    # the benchmark tracer times these three as the io.write spans
+    calls = []
+
+    def spy(owner, name):
+        wrapped = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return wrapped(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
+
+    spy(io, "write_estimate")
+    spy(ConvergenceTrace, "to_csv")
+    spy(ReweightState, "to_json")
+    gain, data, _, _ = problem_files
+    rc = main(["solve", "--gain", str(gain), "--data", str(data),
+               "--lambda-pct", "40", "--method", "irmxne", "--debias",
+               "--out", str(tmp_path / "run")])
+    assert rc == 0
+    assert sorted(calls) == ["to_csv", "to_json", "write_estimate",
+                             "write_estimate"]
 
 
 def test_solver_failure_exits_3(problem_files, tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -109,3 +110,40 @@ def test_estimate_bad_json(tmp_path):
     path.write_text(json.dumps({"active_set": [0]}))
     with pytest.raises(ValueError, match="missing"):
         io.read_estimate(path)
+
+
+WRITER_PAYLOAD = {
+    "floats": [0.1, 1 / 3, 2.2250738585072014e-308, 12345678.901234567,
+               float("nan"), float("inf"), -float("inf"), -0.0, 1e-300,
+               np.float64(0.7)],
+    "nested": [[1, [2.5, []]], {"inner": [True, False, None]}],
+    "10": {"key with space": "text é \"quoted\"", "": 0},
+    "bools": [True, False],
+    "none": None,
+}
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_write_json_matches_json_dump(tmp_path, indent):
+    ref = tmp_path / "ref.json"
+    with open(ref, "w") as fh:
+        json.dump(WRITER_PAYLOAD, fh, indent=indent)
+        fh.write("\n")
+    out = tmp_path / "out.json"
+    io._write_json(out, WRITER_PAYLOAD, indent=indent)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    header = ["iter", "gap", "method"]
+    rows = [[0, f"{1 / 3:.17g}", "mxne"], [1, 2.5e-300, "a,b"],
+            [2, float("nan"), 'say "hi"'], [3, -0.0, "line\nbreak"]]
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    out = tmp_path / "out.csv"
+    io._write_csv(out, header, iter(rows))
+    assert out.read_bytes() == ref.read_bytes()
+    assert out.read_bytes().startswith(b"iter,gap,method\r\n0,")

@@ -234,8 +234,8 @@ def _add_solver_options(parser):
 
 
 def _check_lambda_pcts(pcts):
-    """Reject a ``--lambda-pct`` list of ``simulate`` or ``benchmark`` that
-    holds a value that is not positive."""
+    """Reject a ``--lambda-pct`` list of ``simulate`` or ``benchmark``
+    with a value that is not positive."""
     if not all(pct > 0 for pct in pcts):
         raise ValueError(f"lambda_pct must be positive: {pcts}")
 

@@ -4,10 +4,10 @@ Binary matrix layout: magic ``BSMX``, two little-endian u32 (rows, cols),
 then row-major little-endian float64 values. CSV matrices are one row per
 line, comma-separated, ``.`` decimal, no header.
 
-Every output file is written here: ``estimate.json``,
-``estimate_debiased.json``, ``reweight_state.json``, ``stability.json`` and
-``manifest.json`` by :func:`_write_json`, and ``trace.csv``, ``metrics.csv``
-and ``timings.csv`` by :func:`_write_csv`; each caller builds the payload.
+:func:`_write_json` writes ``estimate.json``, ``estimate_debiased.json``,
+``reweight_state.json``, ``stability.json`` and ``manifest.json``, and
+:func:`_write_csv` writes ``trace.csv``, ``metrics.csv`` and
+``timings.csv``; each caller builds its own payload or rows.
 """
 
 from __future__ import annotations

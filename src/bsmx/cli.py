@@ -205,6 +205,8 @@ def _load_problem(args):
         raise ValueError(f"--depth must lie in [0, 1], got {args.depth}")
     if args.loose is not None and not 0 < args.loose <= 1:
         raise ValueError(f"--loose must lie in (0, 1], got {args.loose}")
+    if args.loose is not None and args.n_orient != 3:
+        raise ValueError(f"--loose requires --n-orient 3, got {args.n_orient}")
     design, data = _read_gain_and_data(args.gain, args.data, args.n_orient)
     if args.loose is not None:
         design = apply_loose_orientation(design, args.loose, copy=False)

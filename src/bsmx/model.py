@@ -101,7 +101,7 @@ class BlockDesign:
     def column_indices(self, locations: Iterable[int]) -> np.ndarray:
         """Flat column indices covering the given locations, in order."""
         o = self.n_orient
-        locs = np.asarray(list(locations), dtype=int)
+        locs = np.fromiter(locations, dtype=int)
         return (locs[:, None] * o + np.arange(o)[None, :]).ravel()
 
     def __repr__(self):

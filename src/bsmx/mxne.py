@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -132,11 +132,12 @@ class ConvergenceTrace:
 
 
 def _check_inputs(m: Measurements, g: BlockDesign, lam, est=None,
-                  gap_tol=None, candidates=None) -> Tuple[np.ndarray, List[int]]:
+                  gap_tol=None, candidates=None) -> Tuple[np.ndarray, np.ndarray]:
     """Check that data, design and estimate are paired, that ``lam`` is a
     positive finite scalar or per-location vector and that ``gap_tol`` (if
     given) is positive. Returns the per-location ``lam`` vector and the
-    sorted distinct candidate locations (all of them by default)."""
+    candidates, any iterable of location indices (all of them by default),
+    as one sorted int array: duplicates and order are ignored."""
     _check_paired(m, g, est)
     if gap_tol is not None and not gap_tol > 0:
         raise ValueError("gap_tol must be positive")
@@ -149,9 +150,9 @@ def _check_inputs(m: Measurements, g: BlockDesign, lam, est=None,
     if not np.all(lam_vec > 0) or not np.all(np.isfinite(lam_vec)):
         raise ValueError("lam must be positive and finite")
     if candidates is None:
-        return lam_vec, list(range(n_loc))
-    cand = sorted(set(int(s) for s in candidates))
-    if cand and (cand[0] < 0 or cand[-1] >= n_loc):
+        return lam_vec, np.arange(n_loc)
+    cand = np.unique(np.fromiter(candidates, dtype=int))
+    if cand.size and (cand[0] < 0 or cand[-1] >= n_loc):
         raise ValueError("candidate index out of range")
     return lam_vec, cand
 
@@ -270,7 +271,7 @@ def solve_bcd(
     lam: Union[float, np.ndarray],
     gap_tol: float,
     *,
-    candidates: Optional[Sequence[int]] = None,
+    candidates: Optional[Iterable[int]] = None,
     max_iter: int = 100_000,
     trace: Optional[ConvergenceTrace] = None,
 ) -> Tuple[BlockSparseEstimate, ConvergenceTrace]:
@@ -308,8 +309,9 @@ def solve_bcd(
     ----------
     init : BlockSparseEstimate or None
         Warm-start values. Its support must lie within ``candidates``.
-    candidates : sequence of int, optional
-        Locations the sweep may update. Defaults to all locations.
+    candidates : iterable of int, optional
+        Locations the sweep may update, duplicates and order ignored; held
+        as one sorted int array. Defaults to all locations.
 
     Returns
     -------
@@ -421,26 +423,15 @@ def solve_bcd(
     return _unpack(x, cand, n_loc, n_orient), trace
 
 
-def _top_violators(norms: np.ndarray, lam_vec: np.ndarray, exclude: set,
-                   batch: int, valid: np.ndarray) -> List[int]:
-    """At most ``batch`` new locations with the largest positive violation.
-
-    Scores are ``||G_s^T R||_Fro - lam_s``; ties break toward the lower
-    index (stable sort on descending score).
-    """
+def _top_violators(norms: np.ndarray, lam_vec: np.ndarray,
+                   blocked: np.ndarray, batch: int) -> np.ndarray:
+    """At most ``batch`` unblocked locations with the largest positive
+    violation ``||G_s^T R||_Fro - lam_s``, ties toward the lower index."""
     excess = norms - lam_vec
-    excess[~valid] = -np.inf
-    order = np.argsort(-excess, kind="stable")
-    picked = []
-    for s in order:
-        if excess[s] <= 0:
-            break
-        if int(s) in exclude:
-            continue
-        picked.append(int(s))
-        if len(picked) == batch:
-            break
-    return picked
+    # the stable sort keeps the order of the others past a blocked -inf
+    excess[blocked] = -np.inf
+    order = np.argsort(-excess, kind="stable")[:batch]
+    return order[excess[order] > 0]
 
 
 def solve_active_set(
@@ -535,7 +526,8 @@ def solve_active_set(
     if trace is None:
         trace = ConvergenceTrace()
 
-    active = set(est.active_set)
+    in_set = np.zeros(n_loc, dtype=bool)
+    in_set[list(est.active_set)] = True
     outer_cap = n_loc // config.active_batch + 10
     for outer in range(outer_cap + 1):
         report, norms = _gap(m, residual(m, g, est), est.coef,
@@ -551,16 +543,15 @@ def solve_active_set(
                 estimate=est,
                 gap=report.gap,
             )
-        batch = max(config.active_batch, len(active))
-        new = _top_violators(norms, lam_vec, active, batch, valid)
-        active.update(new)
-        cand = sorted(active)
+        batch = max(config.active_batch, int(in_set.sum()))
+        new = _top_violators(norms, lam_vec, in_set | ~valid, batch)
+        in_set[new] = True
+        cand = np.flatnonzero(in_set)
         # the top violator is now a candidate, so (for a scalar lam) the
         # restricted gap starts at the full gap and a loose solve still
         # shrinks it by at least 0.7x
-        inner_tol = config.gap_tol
-        if new:
-            inner_tol = max(inner_tol, _INNER_TOL_RATIO * report.gap)
+        inner_tol = (max(config.gap_tol, _INNER_TOL_RATIO * report.gap)
+                     if new.size else config.gap_tol)
         if inner == "bcd":
             est, _ = solve_bcd(
                 m, g, est, lam_vec, inner_tol,

@@ -9,7 +9,7 @@ coordinate descent can be reproduced from the benchmark command.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -48,7 +48,7 @@ def solve_proximal_gradient(
     gap_tol: float,
     *,
     max_iter: int = 50_000,
-    candidates: Optional[Sequence[int]] = None,
+    candidates: Optional[Iterable[int]] = None,
     init: Optional[BlockSparseEstimate] = None,
     callback: Optional[Callable[[int, np.ndarray, float], None]] = None,
 ) -> BlockSparseEstimate:
@@ -63,9 +63,9 @@ def solve_proximal_gradient(
 
     Parameters
     ----------
-    candidates : sequence of int, optional
-        Restrict the problem to these locations (used when benchmarking
-        the proximal-gradient method inside the active-set strategy).
+    candidates : iterable of int, optional
+        Restrict the problem to these locations; duplicates and order are
+        ignored. Used to benchmark this method as the active-set inner solver.
     init : BlockSparseEstimate, optional
         Warm start; must be supported within ``candidates`` if both given.
     callback : callable, optional
@@ -81,7 +81,7 @@ def solve_proximal_gradient(
     """
     lam_full, cand = _check_inputs(m, g, lam, init, gap_tol, candidates)
     n_orient, n_times = g.n_orient, m.n_times
-    if not cand:
+    if not cand.size:
         return BlockSparseEstimate.empty(g.n_locations, n_orient, n_times)
     sub = g if candidates is None else BlockDesign._adopt(
         g.entries[:, g.column_indices(cand)], len(cand), n_orient)

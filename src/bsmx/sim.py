@@ -344,6 +344,13 @@ def random_instance(rng, n_sensors: int, n_locations: int, n_orient: int,
     unit-column i.i.d. design, a random block-sparse truth, and data equal
     to the clean signal plus white noise of the given standard deviation.
     """
+    for name, size in (("n_sensors", n_sensors), ("n_locations", n_locations),
+                       ("n_orient", n_orient), ("n_times", n_times)):
+        if size < 1:
+            raise ValueError(f"{name} must be positive")
+    if n_locations < n_active:
+        raise ValueError(f"n_locations must be at least n_active={n_active}, "
+                         f"got {n_locations}")
     raw = rng.standard_normal((n_sensors, n_locations * n_orient))
     raw /= np.linalg.norm(raw, axis=0, keepdims=True)
     design = BlockDesign._adopt(raw, n_locations, n_orient)

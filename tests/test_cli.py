@@ -280,6 +280,7 @@ def _fail_on_call(name):
     ("--depth", "1.5", "--depth must lie in [0, 1], got 1.5"),
     ("--loose", "0", "--loose must lie in (0, 1], got 0.0"),
     ("--loose", "2", "--loose must lie in (0, 1], got 2.0"),
+    ("--loose", "0.6", "--loose requires --n-orient 3, got 1"),
 ])
 def test_bad_problem_option_exits_2_before_reading(problem_files, tmp_path,
                                                    monkeypatch, caplog,
@@ -306,6 +307,14 @@ def test_bad_problem_option_exits_2_before_reading(problem_files, tmp_path,
      "n_sensors must be positive"),
     (["simulate", "--seed", "0", "--n-orient", "0"], "generate_scenario",
      "n_orient must be positive"),
+    (["benchmark", "--seed", "0", "--n-sensors", "0"], "lambda_max",
+     "n_sensors must be positive"),
+    (["benchmark", "--seed", "0", "--n-times", "0"], "lambda_max",
+     "n_times must be positive"),
+    (["benchmark", "--seed", "0", "--n-orient", "0"], "lambda_max",
+     "n_orient must be positive"),
+    (["benchmark", "--seed", "0", "--n-locations", "3"], "lambda_max",
+     "n_locations must be at least n_active=5, got 3"),
 ])
 def test_bad_option_exits_2_before_any_work(problem_files, tmp_path,
                                             monkeypatch, caplog, argv,

@@ -479,20 +479,66 @@ def test_solve_active_set_empty_at_lambda_max():
 def test_top_violators_selection_rules():
     norms = np.array([5.0, 3.0, 5.0, 0.5, 4.0])
     lam_vec = np.full(5, 1.0)
-    valid = np.ones(5, dtype=bool)
+    blocked = np.zeros(5, dtype=bool)
     # ties break toward the lower index; batch caps the count
-    picked = _top_violators(norms, lam_vec, set(), 3, valid)
-    assert picked == [0, 2, 4]
-    # members already active are skipped
-    picked = _top_violators(norms, lam_vec, {0}, 3, valid)
-    assert picked == [2, 4, 1]
+    assert _top_violators(norms, lam_vec, blocked, 3).tolist() == [0, 2, 4]
+    # members already in the set are skipped
+    blocked[0] = True
+    assert _top_violators(norms, lam_vec, blocked, 3).tolist() == [2, 4, 1]
     # only actual violators are eligible
-    picked = _top_violators(norms, lam_vec, set(), 10, valid)
-    assert picked == [0, 2, 4, 1]
+    blocked[0] = False
+    assert _top_violators(norms, lam_vec, blocked, 10).tolist() == [0, 2, 4, 1]
     # invalid locations are never selected
-    valid[2] = False
-    picked = _top_violators(norms, lam_vec, set(), 10, valid)
-    assert picked == [0, 4, 1]
+    blocked[2] = True
+    assert _top_violators(norms, lam_vec, blocked, 10).tolist() == [0, 4, 1]
+    # blocked 1 ties with 3, blocked 2 with 0 and 4: the rest keep index order
+    norms = np.array([4.0, 5.0, 4.0, 5.0, 4.0, 2.0])
+    blocked = np.array([False, True, True, False, False, False])
+    assert _top_violators(norms, np.ones(6), blocked, 3).tolist() == [3, 0, 4]
+
+
+def test_top_violators_matches_the_selection_loop():
+    # the loop it replaced: walk the stable descending order, stop at the
+    # first non-positive score, skip the blocked, stop at ``batch`` picks
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        norms = rng.integers(0, 6, n).astype(float)
+        lam_vec = rng.choice([1.0, 2.0, 2.5], n)
+        blocked = rng.random(n) < 0.3
+        batch = int(rng.integers(1, n + 2))
+        excess = norms - lam_vec
+        expected = []
+        for s in np.argsort(-excess, kind="stable"):
+            if excess[s] <= 0 or len(expected) == batch:
+                break
+            if not blocked[s]:
+                expected.append(int(s))
+        got = _top_violators(norms, lam_vec, blocked, batch)
+        assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("inner", ["bcd", "pgd"])
+def test_candidates_any_iterable_duplicates_and_order_ignored(inner):
+    rng = np.random.default_rng(31)
+    m, g, _ = make_instance(rng, n_locations=12)
+    lam = 0.3 * lambda_max(m, g)
+    cand = [7, 2, 9, 2, 0, 7]
+
+    def run(candidates):
+        if inner == "bcd":
+            return solve_bcd(m, g, None, lam, 1e-8, candidates=candidates)[0]
+        return solve_proximal_gradient(m, g, lam, 1e-8, candidates=candidates)
+
+    ref = run(cand)
+    assert ref.n_active and set(ref.active_set) <= set(cand)
+    for form in (tuple(cand), set(cand), (s for s in cand), np.array(cand)):
+        est = run(form)
+        assert est.active_set == ref.active_set
+        assert est.coef.tobytes() == ref.coef.tobytes()
+    for bad in (-1, g.n_locations):
+        with pytest.raises(ValueError, match="candidate index out of range"):
+            run([*cand, bad])
 
 
 def _record_inner_solves(monkeypatch):

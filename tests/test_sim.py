@@ -337,6 +337,23 @@ def test_random_instance_shapes():
     assert np.allclose(m.entries, g.entries @ densify(truth))
 
 
+class _NoDraws:
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was called")
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ((0, 20, 1, 7), "n_sensors must be positive"),
+    ((10, 0, 1, 7), "n_locations must be positive"),
+    ((10, 20, 0, 7), "n_orient must be positive"),
+    ((10, 20, 1, 0), "n_times must be positive"),
+    ((10, 3, 1, 7), "n_locations must be at least n_active=5, got 3"),
+])
+def test_random_instance_checks_sizes_before_drawing(sizes, message):
+    with pytest.raises(ValueError, match=message):
+        random_instance(_NoDraws(), *sizes, n_active=5)
+
+
 def test_free_orientation_scenario():
     spec = ScenarioSpec(**SMALL, n_orient=3, rng_seed=13)
     scenario = generate_scenario(spec)

@@ -50,7 +50,7 @@ from .constraints import (
     apply_depth_weights,
     undo_depth_weights,
 )
-from .debias import ScalingFactors, estimate_scaling, apply_scaling
+from .debias import estimate_scaling, apply_scaling
 from .oracle import global_lipschitz, solve_proximal_gradient
 
 __all__ = [
@@ -83,7 +83,6 @@ __all__ = [
     "apply_loose_orientation",
     "apply_depth_weights",
     "undo_depth_weights",
-    "ScalingFactors",
     "estimate_scaling",
     "apply_scaling",
     "global_lipschitz",

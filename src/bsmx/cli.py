@@ -264,8 +264,8 @@ def cmd_solve(args) -> int:
         if est.n_active == 0:
             log.info("estimate is empty; skipping debiasing")
         else:
-            scaling = estimate_scaling(data, design, est)
-            debiased = apply_scaling(est, scaling)
+            d = estimate_scaling(data, design, est)
+            debiased = apply_scaling(est, d)
             if depth_weights:
                 debiased = undo_depth_weights(debiased, depth_weights)
             io.write_estimate(
@@ -295,8 +295,8 @@ def _simulate_task(payload: dict) -> Tuple[List[list], Optional[dict]]:
                                     pct / 100.0, config, method)
             est_deb = None
             if payload["debias"] and est.n_active > 0:
-                scaling = estimate_scaling(scenario.m_avg, scenario.design, est)
-                est_deb = apply_scaling(est, scaling)
+                d = estimate_scaling(scenario.m_avg, scenario.design, est)
+                est_deb = apply_scaling(est, d)
             report = evaluate(scenario, est, est_deb)
             rows.append([seed, pct, method, *astuple(report)])
 

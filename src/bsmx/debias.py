@@ -11,9 +11,6 @@ data worse than the raw one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
 from .model import (
@@ -24,34 +21,17 @@ from .model import (
     _scale_blocks,
 )
 
-__all__ = ["ScalingFactors", "estimate_scaling", "apply_scaling"]
+__all__ = ["estimate_scaling", "apply_scaling"]
 
-
-@dataclass(frozen=True, repr=False)
-class ScalingFactors:
-    """Per-source amplitude corrections over an estimate's active set."""
-
-    active_set: Tuple[int, ...]
-    d: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.d, dtype=float)
-        if arr.shape != (len(self.active_set),):
-            raise ValueError("d must align with active_set")
-        if not np.all(arr >= 1.0):
-            raise ValueError("scaling factors must be at least 1")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "d", arr)
-        object.__setattr__(self, "active_set", tuple(int(s) for s in self.active_set))
-
-    def __repr__(self):
-        return f"ScalingFactors(n_active={len(self.active_set)})"
+_TOL = 1e-10
 
 
 def estimate_scaling(m: Measurements, g: BlockDesign,
-                     est: BlockSparseEstimate, *, tol: float = 1e-10) -> ScalingFactors:
+                     est: BlockSparseEstimate) -> np.ndarray:
     """Fit per-source scaling factors on the box [1, inf).
+
+    Returns a read-only array with one factor per location of
+    ``est.active_set``, in that order.
 
     Minimizes ``||M - sum_s d_s * G_s X_s||_Fro^2`` over the active set by
     cyclic projected coordinate descent: the unconstrained coordinate
@@ -61,8 +41,8 @@ def estimate_scaling(m: Measurements, g: BlockDesign,
     minimization, so the objective is non-increasing. Sources whose
     footprint is exactly zero keep ``d_s = 1``.
 
-    Iterates until the largest coordinate change drops below ``tol``, with
-    a cap of ``10 * n_active`` sweeps.
+    Iterates until the largest coordinate change drops below ``_TOL``,
+    with a cap of ``10 * n_active`` sweeps.
     """
     _check_paired(m, g, est)
     if est.n_active == 0:
@@ -89,15 +69,21 @@ def estimate_scaling(m: Measurements, g: BlockDesign,
             r = r_i - d_new * a
             max_delta = max(max_delta, abs(d_new - d[i]))
             d[i] = d_new
-        if max_delta < tol:
+        if max_delta < _TOL:
             break
 
-    return ScalingFactors(active_set=est.active_set, d=d)
+    d.setflags(write=False)
+    return d
 
 
 def apply_scaling(est: BlockSparseEstimate,
-                  scaling: ScalingFactors) -> BlockSparseEstimate:
-    """Multiply each active block by its scaling factor; support unchanged."""
-    if scaling.active_set != est.active_set:
-        raise ValueError("scaling factors do not match the estimate's active set")
-    return _scale_blocks(est, scaling.d)
+                  d: np.ndarray) -> BlockSparseEstimate:
+    """Multiply each active block by its factor in ``d``, one finite factor
+    of at least 1 per location of ``est.active_set``; support unchanged."""
+    d = np.asarray(d, dtype=float)
+    if d.shape != (est.n_active,):
+        raise ValueError(f"expected {est.n_active} scaling factors, "
+                         f"one per active location, got shape {d.shape}")
+    if not np.all(np.isfinite(d) & (d >= 1.0)):
+        raise ValueError("scaling factors must be finite and at least 1")
+    return _scale_blocks(est, d)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 
 import numpy as np
@@ -64,7 +65,7 @@ def read_matrix(path) -> np.ndarray:
     """Load a matrix, sniffing the binary magic; CSV otherwise.
 
     A binary payload is read straight into the returned array, so a load
-    holds one copy of the matrix.
+    holds one copy of the matrix, allocated once its size matches the header.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -72,14 +73,14 @@ def read_matrix(path) -> np.ndarray:
             if len(head) < _HEADER.size:
                 raise ValueError(f"{path}: truncated binary matrix header")
             _, rows, cols = _HEADER.unpack(head)
-            out = np.empty((rows, cols), dtype="<f8")
-            size = fh.readinto(out.reshape(-1).view(np.uint8))
-            size += len(fh.read())
-            if size != out.nbytes:
+            size = os.fstat(fh.fileno()).st_size - _HEADER.size
+            if size != 8 * rows * cols:
                 raise ValueError(
                     f"{path}: binary matrix payload is {size} bytes, "
-                    f"expected {out.nbytes} for a {rows}x{cols} matrix"
+                    f"expected {8 * rows * cols} for a {rows}x{cols} matrix"
                 )
+            out = np.empty((rows, cols), dtype="<f8")
+            fh.readinto(out.reshape(-1).view(np.uint8))
             return out.astype(float, copy=False)
     try:
         return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)

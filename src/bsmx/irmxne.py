@@ -77,11 +77,18 @@ class ReweightState:
         io._write_json(path, self.to_dict())
 
 
+def _check_lam(lam):
+    """Reject a ``lam`` that is not one positive finite number."""
+    if np.ndim(lam) != 0:
+        raise ValueError("lam must be a scalar")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
+
+
 def nonconvex_objective(m: Measurements, g: BlockDesign,
                         est: BlockSparseEstimate, lam: float) -> float:
     """Value of ``0.5 * ||M - G X||_Fro^2 + lam * sum_s sqrt(||X_s||_Fro)``."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    _check_lam(lam)
     r = residual(m, g, est)
     pen = np.sqrt(_location_norms(est.coef, est.n_orient)).sum()
     return 0.5 * float((r * r).sum()) + lam * float(pen)
@@ -182,6 +189,7 @@ def solve_irmxne(
         iterations, and ``weights`` also holds the failed iteration's.
     """
     _check_paired(m, g)
+    _check_lam(lam)
     m, vt = _compress_time(m)
     trace = ConvergenceTrace()
     state = ReweightState()

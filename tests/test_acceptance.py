@@ -202,7 +202,7 @@ def simulation_study():
                     debiased = apply_scaling(est, scaling)
                     r_raw = float(np.linalg.norm(residual(m, g, est)))
                     r_deb = float(np.linalg.norm(residual(m, g, debiased)))
-                    entry["d_ok"] = bool(np.all(scaling.d >= 1.0))
+                    entry["d_ok"] = bool(np.all(scaling >= 1.0))
                     entry["descent_ok"] = r_deb <= r_raw + 1e-12 * max(1.0, r_raw)
                     entry["rel_reduction"] = (r_raw - r_deb) / r_raw
                 results[(pct, method)].append(entry)

@@ -150,6 +150,18 @@ def test_solve_rejects_nan_in_binary_gain(tmp_path, caplog):
     assert "non-finite" in caplog.text
 
 
+def test_solve_rejects_oversized_binary_header(problem_files, tmp_path, caplog):
+    _, data, _, _ = problem_files
+    gain = tmp_path / "gain.bsmx"
+    gain.write_bytes(io._HEADER.pack(io.MAGIC, 1 << 20, 1 << 20) + bytes(64))
+    out = tmp_path / "run"
+    rc = main(["solve", "--gain", str(gain), "--data", str(data),
+               "--lambda-pct", "50", "--out", str(out)])
+    assert rc == 2
+    assert "payload is 64 bytes" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("transforms", [[], ["--loose", "0.6", "--depth", "0.8"]],
                          ids=["plain", "loose-depth"])
 def test_loaded_design_is_read_only(tmp_path, transforms):

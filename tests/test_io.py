@@ -48,6 +48,14 @@ def test_binary_oversized_payload_detected(tmp_path):
         io.read_matrix(path)
 
 
+def test_binary_header_checked_before_allocating(tmp_path):
+    # a header claiming 8 TiB over a 64-byte payload fails on its size
+    path = tmp_path / "m.bsmx"
+    path.write_bytes(io._HEADER.pack(io.MAGIC, 1 << 20, 1 << 20) + bytes(64))
+    with pytest.raises(ValueError, match="payload is 64 bytes"):
+        io.read_matrix(path)
+
+
 def test_binary_read_returns_one_owned_array(tmp_path):
     a = np.random.default_rng(3).standard_normal((5, 3))
     path = tmp_path / "m.bsmx"

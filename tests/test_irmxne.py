@@ -391,6 +391,22 @@ def test_reweight_state_json(tmp_path):
     assert payload["objective_trace"] == pytest.approx(state.objective_trace)
 
 
+@pytest.mark.parametrize("shape", [(1,), (30,)], ids=["length-1", "vector"])
+def test_irmxne_rejects_vector_lambda_before_solving(shape, monkeypatch):
+    # the square-root penalty has one weight; the check runs before
+    # iteration 1, not after it inside nonconvex_objective
+    m, g, truth = make_instance(np.random.default_rng(15), n_locations=30)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_active_set called")
+
+    monkeypatch.setattr(irmxne, "solve_active_set", no_solve)
+    with pytest.raises(ValueError, match="lam must be a scalar"):
+        solve_irmxne(m, g, np.full(shape, 0.5), SolverConfig())
+    with pytest.raises(ValueError, match="lam must be a scalar"):
+        nonconvex_objective(m, g, truth, np.full(shape, 0.5))
+
+
 @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan, np.inf])
 def test_solvers_reject_invalid_lambda(lam):
     # lam is a solver argument, checked by each solver, not by SolverConfig

@@ -24,6 +24,7 @@ import hashlib
 import json
 import logging
 import os
+import stat
 import sys
 import time
 from dataclasses import astuple, fields
@@ -67,7 +68,11 @@ SCENARIO_OPTIONS = ("n_sensors", "n_locations", "n_orient", "n_times",
                     "n_trials", "n_noise_dipoles")
 
 
-def _sha256(path) -> str:
+def _sha256(path) -> Optional[str]:
+    """Hex digest of a regular file; None for any other (a pipe or FIFO),
+    which the read consumed and which is not opened again."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -78,7 +83,8 @@ def _sha256(path) -> str:
 def _write_manifest(args, t_start, rng_seeds, inputs=(), **extra):
     """Write ``manifest.json``, the reproducibility record of a run, into
     ``args.out``: its resolved options (and ``extra``), the digests of its
-    ``inputs`` files, its seeds and its wall time since ``t_start``."""
+    ``inputs`` files (null for one that is not a regular file), its seeds
+    and its wall time since ``t_start``."""
     manifest = {
         "command": args.command,
         "config": {**args.resolved, **extra},
@@ -235,11 +241,13 @@ def _add_solver_options(parser):
                             type=type(f.default), default=f.default)
 
 
-def _check_lambda_pcts(pcts):
+def _check_study_options(pcts, seeds):
     """Reject a ``--lambda-pct`` list of ``simulate`` or ``benchmark``
-    with a value that is not positive."""
-    if not all(pct > 0 for pct in pcts):
-        raise ValueError(f"lambda_pct must be positive: {pcts}")
+    with a value that is not positive and finite, and a negative seed."""
+    if not all(0 < pct < np.inf for pct in pcts):
+        raise ValueError(f"lambda_pct must be positive and finite: {pcts}")
+    if min(seeds) < 0:
+        raise ValueError(f"--seed must be non-negative, got {min(seeds)}")
 
 
 def cmd_solve(args) -> int:
@@ -328,11 +336,14 @@ def cmd_simulate(args) -> int:
     seeds = args.seed or [_fresh_seed()]
     scenario_params = {name: getattr(args, name) for name in SCENARIO_OPTIONS}
     config = _solver_config(args)
-    _check_lambda_pcts(args.lambda_pct)
-    # a count below one runs no stability pass
-    n_resamples = max(args.resamples, 0)
-    if n_resamples:
-        _resample_size(args.resample_fraction, n_resamples, args.n_trials)
+    _check_study_options(args.lambda_pct, seeds)
+    if args.resamples < 0:
+        raise ValueError(
+            f"--resamples must be non-negative, got {args.resamples}")
+    if args.resamples:
+        _resample_size(args.resample_fraction, args.resamples, args.n_trials)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     # stability is assessed on the first seed's scenario, inside its task
     payloads = [
         {
@@ -342,7 +353,7 @@ def cmd_simulate(args) -> int:
             "config": config,
             "methods": args.method,
             "debias": args.debias,
-            "resamples": n_resamples if i == 0 else 0,
+            "resamples": args.resamples if i == 0 else 0,
             "resample_fraction": args.resample_fraction,
         }
         for i, seed in enumerate(seeds)
@@ -397,9 +408,9 @@ def cmd_benchmark(args) -> int:
         if name not in BENCH_METHODS:
             raise ValueError(f"unknown benchmark method {name!r}; expected "
                              f"one of {', '.join(BENCH_METHODS)}")
-    _check_lambda_pcts(args.lambda_pct)
     config = _solver_config(args)
     seed = _fresh_seed() if args.seed is None else args.seed
+    _check_study_options(args.lambda_pct, [seed])
     rng = np.random.default_rng(seed)
     m, design, _ = random_instance(
         rng, args.n_sensors, args.n_locations, args.n_orient, args.n_times,

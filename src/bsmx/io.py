@@ -2,7 +2,9 @@
 
 Binary matrix layout: magic ``BSMX``, two little-endian u32 (rows, cols),
 then row-major little-endian float64 values. CSV matrices are one row per
-line, comma-separated, ``.`` decimal, no header.
+line, comma-separated, ``.`` decimal, no header. A matrix that is not a
+regular file (a pipe, a FIFO, a process substitution) is read once, from
+one open handle; the manifest records ``null`` as its digest.
 
 :func:`_write_json` writes ``estimate.json``, ``estimate_debiased.json``,
 ``reweight_state.json``, ``stability.json`` and ``manifest.json``, and
@@ -13,8 +15,10 @@ line, comma-separated, ``.`` decimal, no header.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
+import stat
 import struct
 
 import numpy as np
@@ -32,6 +36,8 @@ __all__ = [
 
 MAGIC = b"BSMX"
 _HEADER = struct.Struct("<4sII")
+# bytes per read of a payload whose size the file system does not report
+_CHUNK = 1 << 20
 
 
 def _write_json(path, payload, indent=None):
@@ -61,29 +67,66 @@ def write_matrix_binary(path, a: np.ndarray):
         fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _read_capped(fh, limit: int) -> bytearray:
+    """At most ``limit`` bytes of ``fh``, read in bounded chunks until EOF:
+    memory follows the bytes actually sent, not a size a header claims."""
+    buf = bytearray()
+    while len(buf) < limit:
+        chunk = fh.read(min(_CHUNK, limit - len(buf)))
+        if not chunk:
+            break
+        buf += chunk
+    return buf
+
+
 def read_matrix(path) -> np.ndarray:
     """Load a matrix, sniffing the binary magic; CSV otherwise.
 
-    A binary payload is read straight into the returned array, so a load
-    holds one copy of the matrix, allocated once its size matches the header.
+    A regular file's binary payload is read straight into the returned
+    array, so a load holds one copy of the matrix, allocated once its size
+    matches the header. Any other file (a pipe, a FIFO, a process
+    substitution) is read once, from the handle the sniff opened: a binary
+    payload in bounded chunks up to one byte past the size the header
+    claims, a CSV matrix parsed line by line, sniffed bytes included.
     """
     with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        regular = stat.S_ISREG(info.st_mode)
         head = fh.read(_HEADER.size)
         if head[:4] == MAGIC:
             if len(head) < _HEADER.size:
                 raise ValueError(f"{path}: truncated binary matrix header")
             _, rows, cols = _HEADER.unpack(head)
-            size = os.fstat(fh.fileno()).st_size - _HEADER.size
-            if size != 8 * rows * cols:
+            expected = 8 * rows * cols
+            if regular:
+                size = info.st_size - _HEADER.size
+            else:
+                payload = _read_capped(fh, expected + 1)
+                size = len(payload)
+            if size != expected:
+                # a pipe is read one byte past the claim and no further
+                found = (f"over {expected}" if size > expected and not regular
+                         else size)
                 raise ValueError(
-                    f"{path}: binary matrix payload is {size} bytes, "
-                    f"expected {8 * rows * cols} for a {rows}x{cols} matrix"
+                    f"{path}: binary matrix payload is {found} bytes, "
+                    f"expected {expected} for a {rows}x{cols} matrix"
                 )
-            out = np.empty((rows, cols), dtype="<f8")
-            fh.readinto(out.reshape(-1).view(np.uint8))
+            if regular:
+                out = np.empty((rows, cols), dtype="<f8")
+                fh.readinto(out.reshape(-1).view(np.uint8))
+            else:
+                out = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
             return out.astype(float, copy=False)
+        if not regular:
+            # the sniff consumed ``head``: complete its line, then stream
+            return _parse_csv(path, itertools.chain(
+                (head + fh.readline()).splitlines(True), fh))
+    return _parse_csv(path, path)
+
+
+def _parse_csv(path, source) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        return np.loadtxt(source, delimiter=",", ndmin=2, dtype=float)
     except ValueError as exc:
         raise ValueError(f"{path}: cannot parse as CSV matrix ({exc})") from exc
 

@@ -471,8 +471,9 @@ def solve_active_set(
     ascending location order and ties in violator selection break toward
     the lower index.
 
-    Long epochs are compressed automatically: when ``n_times >
-    n_sensors``, the problem is solved exactly on ``U S`` of the thin SVD
+    Long epochs are compressed once at entry and mapped back once at exit,
+    as in :func:`bsmx.irmxne.solve_irmxne`: when ``n_times > n_sensors``,
+    the working-set loop runs exactly on ``U S`` of the thin SVD
     ``M = U S V^T``, with the warm start mapped in as ``X V``. The returned
     estimate, and the one an ``IterationLimitError`` carries, are mapped
     back as ``Z V^T`` and so stay in full time; the primal, dual and gap
@@ -494,18 +495,9 @@ def solve_active_set(
     lam_vec, _ = _check_inputs(m, g, lam, warm)
     if inner not in ("bcd", "pgd"):
         raise ValueError(f"unknown inner solver {inner!r}")
-    m_short, vt = _compress_time(m)
+    m, vt = _compress_time(m)
     if vt is not None:
-        # the compressed data has n_times == n_sensors: no further recursion
-        try:
-            est, trace = solve_active_set(
-                m_short, g, _change_time_basis(warm, vt.T), lam, config,
-                inner=inner, trace=trace,
-            )
-        except IterationLimitError as exc:
-            exc.estimate = _change_time_basis(exc.estimate, vt)
-            raise
-        return _change_time_basis(est, vt), trace
+        warm = _change_time_basis(warm, vt.T)
     n_loc, n_orient, n_times = g.n_locations, g.n_orient, m.n_times
 
     valid = block_lipschitz_all(g) > 0
@@ -529,39 +521,43 @@ def solve_active_set(
     in_set = np.zeros(n_loc, dtype=bool)
     in_set[list(est.active_set)] = True
     outer_cap = n_loc // config.active_batch + 10
-    for outer in range(outer_cap + 1):
-        report, norms = _gap(m, residual(m, g, est), est.coef,
-                             lam_vec[list(est.active_set)], g.entries.T,
-                             lam_vec, n_orient)
-        trace.add(report.gap, est.n_active, report.primal)
-        if report.gap < config.gap_tol:
-            return est, trace
-        if outer == outer_cap:
-            raise IterationLimitError(
-                f"active-set strategy did not converge within {outer_cap} "
-                f"expansions (gap={report.gap:.3e})",
-                estimate=est,
-                gap=report.gap,
-            )
-        batch = max(config.active_batch, int(in_set.sum()))
-        new = _top_violators(norms, lam_vec, in_set | ~valid, batch)
-        in_set[new] = True
-        cand = np.flatnonzero(in_set)
-        # the top violator is now a candidate, so (for a scalar lam) the
-        # restricted gap starts at the full gap and a loose solve still
-        # shrinks it by at least 0.7x
-        inner_tol = (max(config.gap_tol, _INNER_TOL_RATIO * report.gap)
-                     if new.size else config.gap_tol)
-        if inner == "bcd":
-            est, _ = solve_bcd(
-                m, g, est, lam_vec, inner_tol,
-                candidates=cand, max_iter=config.max_bcd_iter, trace=trace,
-            )
-        else:
-            from .oracle import solve_proximal_gradient
+    try:
+        for outer in range(outer_cap + 1):
+            report, norms = _gap(m, residual(m, g, est), est.coef,
+                                 lam_vec[list(est.active_set)], g.entries.T,
+                                 lam_vec, n_orient)
+            trace.add(report.gap, est.n_active, report.primal)
+            if report.gap < config.gap_tol:
+                return _change_time_basis(est, vt), trace
+            if outer == outer_cap:
+                raise IterationLimitError(
+                    f"active-set strategy did not converge within "
+                    f"{outer_cap} expansions (gap={report.gap:.3e})",
+                    estimate=est,
+                    gap=report.gap,
+                )
+            batch = max(config.active_batch, int(in_set.sum()))
+            new = _top_violators(norms, lam_vec, in_set | ~valid, batch)
+            in_set[new] = True
+            cand = np.flatnonzero(in_set)
+            # the top violator is now a candidate, so (for a scalar lam) the
+            # restricted gap starts at the full gap and a loose solve still
+            # shrinks it by at least 0.7x
+            inner_tol = (max(config.gap_tol, _INNER_TOL_RATIO * report.gap)
+                         if new.size else config.gap_tol)
+            if inner == "bcd":
+                est, _ = solve_bcd(
+                    m, g, est, lam_vec, inner_tol, candidates=cand,
+                    max_iter=config.max_bcd_iter, trace=trace,
+                )
+            else:
+                from .oracle import solve_proximal_gradient
 
-            est = solve_proximal_gradient(
-                m, g, lam_vec, inner_tol,
-                candidates=cand, init=est,
-            )
+                est = solve_proximal_gradient(
+                    m, g, lam_vec, inner_tol,
+                    candidates=cand, init=est,
+                )
+    except IterationLimitError as exc:
+        exc.estimate = _change_time_basis(exc.estimate, vt)
+        raise
     raise AssertionError("unreachable")

@@ -1,11 +1,15 @@
-"""Shared fixtures-in-spirit: instance generators, independent oracles and
-a probe of the irMxNE solves.
+"""Shared fixtures-in-spirit: instance generators, independent oracles, a
+probe of the irMxNE solves and a FIFO fed by a thread.
 
 The oracles here deliberately avoid the library's own code paths: dense
 objectives are recomputed with raw numpy expressions, the prox is checked
 against golden-section search, and debiasing against projected gradient
 descent.
 """
+
+import contextlib
+import os
+import threading
 
 import numpy as np
 
@@ -143,3 +147,39 @@ def estimate_from(blocks_by_loc, n_locations, n_orient, n_times):
 
 def measurements_like(arr):
     return Measurements(np.asarray(arr, dtype=float))
+
+
+@contextlib.contextmanager
+def fed_fifo(path, data):
+    """Make ``path`` a FIFO that a thread writes ``data`` into, once.
+
+    Until the block ends, the thread also opens and closes the FIFO for
+    writing whenever a reader has it open, so a reader that opens it a
+    second time gets EOF instead of waiting for ever for a writer.
+    """
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def feed():
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            pass
+        while not done.wait(0.05):
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader
+                pass
+
+    thread = threading.Thread(target=feed, daemon=True)
+    thread.start()
+    try:
+        yield path
+    finally:
+        done.set()
+        if thread.is_alive():
+            # a feeder still waiting for its first reader is given one
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+        thread.join(5)
+        assert not thread.is_alive()

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,8 @@ from bsmx.irmxne import ReweightState
 from bsmx.model import BlockSparseEstimate, SolverConfig, densify
 from bsmx.mxne import ConvergenceTrace
 from bsmx.sim import random_instance
+
+from helpers import fed_fifo
 
 
 @pytest.fixture()
@@ -50,6 +53,37 @@ def test_solve_writes_outputs_and_manifest(problem_files, tmp_path):
     assert manifest["rng_seeds"] == [7]
     assert str(gain) in manifest["inputs"]
     assert manifest["wall_time_s"] > 0
+
+
+@pytest.mark.parametrize("piped", ["gain", "data"])
+def test_solve_reads_an_input_through_a_fifo(problem_files, tmp_path, piped):
+    gain, data, _, _ = problem_files
+    # the piped gain is binary, the piped data CSV
+    io.write_matrix_binary(tmp_path / "gain.bin", io.read_matrix(gain))
+    files = {"gain": tmp_path / "gain.bin", "data": data}
+    base = ["solve", "--lambda-pct", "40", "--debias"]
+    assert main([*base, "--gain", str(files["gain"]), "--data", str(data),
+                 "--out", str(tmp_path / "file")]) == 0
+    with fed_fifo(tmp_path / "pipe", files[piped].read_bytes()) as pipe:
+        paths = {**files, piped: pipe}
+        rc = main([*base, "--gain", str(paths["gain"]),
+                   "--data", str(paths["data"]),
+                   "--out", str(tmp_path / "pipe_run")])
+    assert rc == 0
+    for name in ("estimate.json", "estimate_debiased.json", "trace.csv"):
+        lines = [(tmp_path / run / name).read_text().splitlines()
+                 for run in ("file", "pipe_run")]
+        if name == "trace.csv":
+            # drop the seconds column
+            lines = [[row.rsplit(",", 1)[0] for row in rows] for rows in lines]
+        assert lines[0] == lines[1]
+    inputs = json.loads((tmp_path / "pipe_run" / "manifest.json").read_text()
+                        )["inputs"]
+    # the consumed pipe is not opened again for a digest
+    assert inputs[str(pipe)] is None
+    other = "data" if piped == "gain" else "gain"
+    assert inputs[str(files[other])] == hashlib.sha256(
+        files[other].read_bytes()).hexdigest()
 
 
 def test_solve_at_lambda_max_gives_empty_estimate(problem_files, tmp_path):
@@ -327,6 +361,18 @@ def test_bad_problem_option_exits_2_before_reading(problem_files, tmp_path,
      "n_orient must be positive"),
     (["benchmark", "--seed", "0", "--n-locations", "3"], "lambda_max",
      "n_locations must be at least n_active=5, got 3"),
+    (["simulate", "--seed", "0", "--lambda-pct", "inf"], "generate_scenario",
+     "lambda_pct must be positive and finite"),
+    (["benchmark", "--seed", "0", "--lambda-pct", "inf"], "random_instance",
+     "lambda_pct must be positive and finite"),
+    (["simulate", "--seed", "-1"], "generate_scenario",
+     "--seed must be non-negative, got -1"),
+    (["benchmark", "--seed", "-1"], "random_instance",
+     "--seed must be non-negative, got -1"),
+    (["simulate", "--seed", "0", "--resamples", "-3"], "generate_scenario",
+     "--resamples must be non-negative, got -3"),
+    (["simulate", "--seed", "0", "--jobs", "0"], "generate_scenario",
+     "--jobs must be at least 1, got 0"),
 ])
 def test_bad_option_exits_2_before_any_work(problem_files, tmp_path,
                                             monkeypatch, caplog, argv,
@@ -627,6 +673,12 @@ def test_benchmark_rejects_nonpositive_lambda_before_running(
     (["--resamples", "3", "--resample-fraction", "0.01"],
      "resample fraction 0.01 of 8 trials"),
     (["--lambda-pct", "0"], "lambda_pct must be positive"),
+    (["--lambda-pct", "inf"], "lambda_pct must be positive and finite"),
+    (["--lambda-pct", "nan"], "lambda_pct must be positive and finite"),
+    (["--seed", "-1"], "--seed must be non-negative, got -1"),
+    (["--resamples", "-3"], "--resamples must be non-negative, got -3"),
+    (["--jobs", "-4"], "--jobs must be at least 1, got -4"),
+    (["--jobs", "0"], "--jobs must be at least 1, got 0"),
 ])
 def test_simulate_rejects_bad_options_before_solving(tmp_path, monkeypatch,
                                                      caplog, flags, message):

@@ -11,6 +11,8 @@ import pytest
 from bsmx import irmxne, mxne
 from bsmx.irmxne import _max_abs_change, solve_irmxne
 from bsmx.model import (
+    BlockDesign,
+    BlockSparseEstimate,
     Measurements,
     SolverConfig,
     _change_time_basis,
@@ -147,6 +149,37 @@ def test_active_set_iteration_limit_carries_full_time_estimate():
         solve_active_set(m, g, None, lam, config)
     est = info.value.estimate
     assert est.n_times == N_TIMES and est.n_active > 0
+
+
+def test_long_epoch_enters_the_driver_once(monkeypatch):
+    m, g, lam = _long_problem(10, 3, "scalar")
+    driver, calls = mxne.solve_active_set, []
+
+    def counted(m, *args, **kwargs):
+        calls.append(m.n_times)
+        return driver(m, *args, **kwargs)
+
+    monkeypatch.setattr(mxne, "solve_active_set", counted)
+    est, _ = mxne.solve_active_set(m, g, None, lam, SolverConfig())
+    assert calls == [N_TIMES]
+    assert est.n_times == N_TIMES and est.n_active > 0
+
+
+def test_zero_block_warning_points_at_the_caller():
+    m, g, lam = _long_problem(11, 3, "scalar")
+    raw = g.entries.copy()
+    raw[:, 9:12] = 0.0
+    g = BlockDesign(raw, g.n_locations, g.n_orient)
+    # a full-time warm-start block at the zero location is dropped
+    warm = BlockSparseEstimate.from_blocks(
+        [(3, np.ones((3, N_TIMES))), (5, np.ones((3, N_TIMES)))],
+        g.n_locations, 3, N_TIMES)
+    for init in (None, warm):
+        with pytest.warns(RuntimeWarning,
+                          match="all-zero design blocks") as record:
+            est, _ = solve_active_set(m, g, init, lam, SolverConfig())
+        assert [w.filename for w in record] == [__file__]
+        assert 3 not in est.active_set and est.n_times == N_TIMES
 
 
 def test_irmxne_iteration_limit_carries_full_time_estimate(monkeypatch):

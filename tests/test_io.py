@@ -7,6 +7,8 @@ import pytest
 from bsmx import io
 from bsmx.model import BlockSparseEstimate, densify
 
+from helpers import fed_fifo
+
 
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
@@ -71,6 +73,55 @@ def test_csv_parse_error_names_file(tmp_path):
     path.write_text("1,2\nthree,4\n")
     with pytest.raises(ValueError, match="bad.csv"):
         io.read_matrix(path)
+
+
+def _matrix_file(tmp_path, kind):
+    """A matrix file of each kind the FIFO tests read, with its matrix."""
+    rng = np.random.default_rng(4)
+    if kind == "binary":
+        # larger than a pipe's buffer, so the payload arrives in pieces
+        a, path = rng.standard_normal((300, 50)), tmp_path / "m.bsmx"
+        io.write_matrix_binary(path, a)
+    elif kind == "csv":
+        a, path = rng.standard_normal((40, 30)), tmp_path / "m.csv"
+        io.write_matrix_csv(path, a)
+    else:
+        # shorter than the sniff: the whole file is in the sniffed bytes
+        a, path = np.array([[1.0], [2.0], [3.0]]), tmp_path / "m.csv"
+        path.write_text("1\n2\n3\n")
+    return a, path
+
+
+@pytest.mark.parametrize("kind", ["binary", "csv", "one-column csv"])
+def test_fifo_reads_bitwise_equal_to_the_file(tmp_path, kind):
+    a, path = _matrix_file(tmp_path, kind)
+    from_file = io.read_matrix(path)
+    with fed_fifo(tmp_path / "pipe", path.read_bytes()) as pipe:
+        from_pipe = io.read_matrix(pipe)
+    assert from_pipe.shape == from_file.shape == a.shape
+    assert from_pipe.dtype == np.float64
+    assert from_pipe.tobytes() == from_file.tobytes()
+    # the in-place design transforms write to the matrix read
+    assert from_pipe.flags.writeable and from_pipe.flags.c_contiguous
+
+
+@pytest.mark.parametrize("rows, cols, size, message", [
+    (4, 4, 120, "payload is 120 bytes, expected 128"),
+    (4, 4, 136, "payload is over 128 bytes, expected 128"),
+    # a header claiming 8 TiB: the read stops at the 64 bytes sent
+    (1 << 20, 1 << 20, 64, "payload is 64 bytes"),
+], ids=["short", "long", "huge-claim"])
+def test_fifo_binary_payload_size_checked(tmp_path, rows, cols, size, message):
+    data = io._HEADER.pack(io.MAGIC, rows, cols) + bytes(size)
+    with fed_fifo(tmp_path / "pipe", data) as pipe:
+        with pytest.raises(ValueError, match=message):
+            io.read_matrix(pipe)
+
+
+def test_fifo_csv_parse_error_names_file(tmp_path):
+    with fed_fifo(tmp_path / "bad.csv", b"1,2\nthree,4\n") as pipe:
+        with pytest.raises(ValueError, match="bad.csv"):
+            io.read_matrix(pipe)
 
 
 def test_estimate_round_trip(tmp_path):

@@ -2,9 +2,10 @@
 
 Binary matrix layout: magic ``BSMX``, two little-endian u32 (rows, cols),
 then row-major little-endian float64 values. CSV matrices are one row per
-line, comma-separated, ``.`` decimal, no header. A matrix that is not a
-regular file (a pipe, a FIFO, a process substitution) is read once, from
-one open handle; the manifest records ``null`` as its digest.
+line, comma-separated, ``.`` decimal, no header. Every matrix is read
+once, from one open handle, so a pipe, a FIFO or a process substitution
+reads like a regular file; the manifest records ``null`` as the digest of
+an input that is not a regular file.
 
 :func:`_write_json` writes ``estimate.json``, ``estimate_debiased.json``,
 ``reweight_state.json``, ``stability.json`` and ``manifest.json``, and
@@ -82,12 +83,12 @@ def _read_capped(fh, limit: int) -> bytearray:
 def read_matrix(path) -> np.ndarray:
     """Load a matrix, sniffing the binary magic; CSV otherwise.
 
-    A regular file's binary payload is read straight into the returned
-    array, so a load holds one copy of the matrix, allocated once its size
-    matches the header. Any other file (a pipe, a FIFO, a process
-    substitution) is read once, from the handle the sniff opened: a binary
-    payload in bounded chunks up to one byte past the size the header
-    claims, a CSV matrix parsed line by line, sniffed bytes included.
+    The file is read once, from the handle the sniff opened. A regular
+    file's binary payload is read straight into the returned array, so a
+    load holds one copy of the matrix, allocated once its size matches the
+    header. Any other file's (a pipe, a FIFO, a process substitution) is
+    read in bounded chunks up to one byte past the size the header claims.
+    A CSV matrix is parsed line by line, sniffed bytes included.
     """
     with open(path, "rb") as fh:
         info = os.fstat(fh.fileno())
@@ -117,18 +118,13 @@ def read_matrix(path) -> np.ndarray:
             else:
                 out = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
             return out.astype(float, copy=False)
-        if not regular:
-            # the sniff consumed ``head``: complete its line, then stream
-            return _parse_csv(path, itertools.chain(
-                (head + fh.readline()).splitlines(True), fh))
-    return _parse_csv(path, path)
-
-
-def _parse_csv(path, source) -> np.ndarray:
-    try:
-        return np.loadtxt(source, delimiter=",", ndmin=2, dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"{path}: cannot parse as CSV matrix ({exc})") from exc
+        # the sniff consumed ``head``: complete its line, then stream the rest
+        lines = itertools.chain((head + fh.readline()).splitlines(True), fh)
+        try:
+            return np.loadtxt(lines, delimiter=",", ndmin=2, dtype=float)
+        except ValueError as exc:
+            raise ValueError(
+                f"{path}: cannot parse as CSV matrix ({exc})") from exc
 
 
 def write_estimate(path, est: BlockSparseEstimate):

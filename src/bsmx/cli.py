@@ -118,7 +118,7 @@ def _config_value(action, key, value):
     """``value`` of option ``key`` from the config file, converted as the
     option's flag would convert it. A switch takes only a JSON boolean
     (``false`` leaves it unset); a repeatable option takes one value or a
-    list and gives a list."""
+    non-empty list and gives a list."""
     if action.nargs == 0:
         if isinstance(value, bool):
             return action.const if value else None
@@ -126,7 +126,8 @@ def _config_value(action, key, value):
         repeats = isinstance(action, argparse._AppendAction)
         items = value if repeats and isinstance(value, list) else [value]
         try:
-            if all(type(item) in (str, int, float) for item in items):
+            if items and all(type(item) in (str, int, float)
+                             for item in items):
                 items = [(action.type or str)(str(item)) for item in items]
                 if all(action.choices is None or item in action.choices
                        for item in items):
@@ -172,6 +173,15 @@ def _fresh_seed() -> int:
     return seed
 
 
+def _named(path, make, *args):
+    """``make(*args)``, with the ``ValueError`` it raises prefixed by
+    ``path``, the file its matrix came from."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _read_gain_and_data(gain_path, data_path, n_orient):
     gain = io.read_matrix(gain_path)
     data = io.read_matrix(data_path)
@@ -186,8 +196,9 @@ def _read_gain_and_data(gain_path, data_path, n_orient):
             f"{gain.shape[0]} to match {gain_path}"
         )
     # the design adopts the array just read: one copy of the gain
-    design = BlockDesign._adopt(gain, gain.shape[1] // n_orient, n_orient)
-    return design, Measurements(data)
+    design = _named(gain_path, BlockDesign._adopt, gain,
+                    gain.shape[1] // n_orient, n_orient)
+    return design, _named(data_path, Measurements, data)
 
 
 def _load_problem(args):
@@ -223,7 +234,12 @@ def _load_problem(args):
 
     lam = args.lam
     if lam is None:
-        lam = args.lambda_pct / 100.0 * lambda_max(data, design)
+        top = lambda_max(data, design)
+        lam = args.lambda_pct / 100.0 * top
+        if not lam > 0:
+            raise ValueError(
+                f"--lambda-pct {args.lambda_pct} gives lambda {lam}: the "
+                f"data's lambda_max is {top}; give --lambda instead")
     return data, design, depth_weights, lam
 
 
@@ -404,6 +420,9 @@ def cmd_benchmark(args) -> int:
     # before anything runs or is written
     names = [name.strip() for entry in args.methods for name in entry.split(",")]
     method_list = [name for name in names if name]
+    if not method_list:
+        raise ValueError(f"--methods names no benchmark method; expected "
+                         f"some of {', '.join(BENCH_METHODS)}")
     for name in method_list:
         if name not in BENCH_METHODS:
             raise ValueError(f"unknown benchmark method {name!r}; expected "

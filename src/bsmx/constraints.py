@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class DepthWeights:
     """Per-location scales applied to the design for depth compensation."""
 

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class ReweightState:
     """Bookkeeping of the outer reweighting loop.
 

@@ -15,7 +15,7 @@ Every product ``G_C X_C`` of a residual or forward pass is formed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,13 +35,16 @@ def _readonly_matrix(values, name: str, copy: bool = True) -> np.ndarray:
     arr = (np.array if copy else np.asarray)(values, dtype=float, order="C")
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
+    if 0 in arr.shape:
+        raise ValueError(f"{name} has shape {arr.shape}: it needs at least "
+                         "one row and one column")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class BlockDesign:
     """Design (gain) matrix with block-column structure.
 
@@ -61,9 +64,9 @@ class BlockDesign:
     n_orient: int
 
     def __post_init__(self, copy: bool = True):
+        arr = _readonly_matrix(self.entries, "design matrix", copy)
         if self.n_locations < 1 or self.n_orient < 1:
             raise ValueError("n_locations and n_orient must be positive")
-        arr = _readonly_matrix(self.entries, "design matrix", copy)
         expected = self.n_locations * self.n_orient
         if arr.shape[1] != expected:
             raise ValueError(
@@ -111,7 +114,7 @@ class BlockDesign:
         )
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Measurements:
     """Whitened sensor data matrix of shape (n_sensors, n_times)."""
 
@@ -155,7 +158,7 @@ def _compress_time(m: Measurements) -> Tuple[Measurements, Optional[np.ndarray]]
     return m._compressed
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class BlockSparseEstimate:
     """Source coefficients of the support, packed into one array.
 
@@ -163,9 +166,11 @@ class BlockSparseEstimate:
     increasing. ``coef`` has shape ``(n_active * n_orient, n_times)``; rows
     ``i * n_orient:(i + 1) * n_orient`` hold the block of ``active_set[i]``.
     Blocks that are exactly zero (``.any()`` is False) are never stored, so
-    the support size is well defined. ``blocks`` holds read-only views of
-    the blocks in ``active_set`` order. Use :func:`densify` /
-    :func:`sparsify` to convert to and from the full coefficient matrix.
+    the support size is well defined. ``blocks`` slices read-only views of
+    the blocks from ``coef`` on each read, in ``active_set`` order. Use
+    :func:`densify` / :func:`sparsify` to convert to and from the full
+    coefficient matrix. Like every type here that holds arrays, an estimate
+    compares by identity; compare ``coef`` with ``np.array_equal``.
     """
 
     active_set: Tuple[int, ...]
@@ -173,7 +178,6 @@ class BlockSparseEstimate:
     n_locations: int
     n_orient: int
     n_times: int
-    blocks: Tuple[np.ndarray, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         n_loc, o, t = self.n_locations, self.n_orient, self.n_times
@@ -203,11 +207,8 @@ class BlockSparseEstimate:
                 "blocks must be dropped (use from_blocks)"
             )
         coef.setflags(write=False)
-        active = tuple(active.tolist())
-        object.__setattr__(self, "active_set", active)
+        object.__setattr__(self, "active_set", tuple(active.tolist()))
         object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "blocks", tuple(coef.reshape(-1, o, t)))
-        object.__setattr__(self, "_index", {s: i for i, s in enumerate(active)})
 
     @classmethod
     def empty(cls, n_locations: int, n_orient: int, n_times: int) -> "BlockSparseEstimate":
@@ -236,13 +237,12 @@ class BlockSparseEstimate:
     def n_active(self) -> int:
         return len(self.active_set)
 
-    def block_for(self, s: int) -> Optional[np.ndarray]:
-        """Block of location ``s``, or None if inactive."""
-        i = self._index.get(s)
-        return None if i is None else self.blocks[i]
+    @property
+    def blocks(self) -> Tuple[np.ndarray, ...]:
+        return tuple(self.coef.reshape(-1, self.n_orient, self.n_times))
 
     def __reduce__(self):
-        # rebuild through the constructor: a read-only coef with views as blocks
+        # rebuild through the constructor: a validated, read-only coef
         return (type(self), (self.active_set, self.coef, self.n_locations,
                              self.n_orient, self.n_times))
 

@@ -115,7 +115,7 @@ class ScenarioSpec:
         _check_ar_stable(self.ar_coeffs)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class Scenario:
     """Ground truth, trials, and averaged data of one synthetic run."""
 
@@ -460,7 +460,7 @@ def krippendorff_alpha(selection: np.ndarray) -> float:
     return 1.0 - d_obs / d_exp
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, eq=False)
 class StabilityReport:
     """Support selections across resamples and their agreement score."""
 

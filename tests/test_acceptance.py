@@ -16,6 +16,7 @@ from bsmx.model import (
     BlockDesign,
     BlockSparseEstimate,
     SolverConfig,
+    densify,
     residual,
 )
 from bsmx.mxne import (
@@ -132,11 +133,12 @@ def test_criterion_04_kkt_certificate():
         est, _ = solve_active_set(m, g, None, lam, config)
         r = residual(m, g, est)
         corr = g.entries.T @ r
+        x = densify(est)
         o = g.n_orient
         for s in range(g.n_locations):
             c = corr[s * o:(s + 1) * o]
-            blk = est.block_for(s)
-            if blk is None:
+            blk = x[s * o:(s + 1) * o]
+            if not blk.any():
                 worst_inactive = max(worst_inactive,
                                      np.linalg.norm(c) - lam * (1 + 1e-8))
             else:

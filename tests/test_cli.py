@@ -96,6 +96,62 @@ def test_solve_at_lambda_max_gives_empty_estimate(problem_files, tmp_path):
     assert est.n_active == 0
 
 
+@pytest.fixture()
+def degenerate_files(tmp_path):
+    # a binary gain, a data header of 12 x 0, and all-zero data
+    g = np.random.default_rng(0).standard_normal((12, 30))
+    paths = {name: tmp_path / f"{name}.bin" for name in ("gain", "empty", "zero")}
+    io.write_matrix_binary(paths["gain"], g)
+    with open(paths["empty"], "wb") as fh:
+        fh.write(io.MAGIC + np.array([12, 0], "<u4").tobytes())
+    io.write_matrix_binary(paths["zero"], np.zeros((12, 5)))
+    return paths
+
+
+@pytest.mark.parametrize("lam", [["--lambda", "1"], ["--lambda-pct", "30"]])
+def test_solve_rejects_data_without_columns_before_out(
+        degenerate_files, tmp_path, caplog, lam):
+    out = tmp_path / "run"
+    rc = main(["solve", "--gain", str(degenerate_files["gain"]),
+               "--data", str(degenerate_files["empty"]), *lam,
+               "--out", str(out)])
+    assert rc == 2
+    assert (f"{degenerate_files['empty']}: data matrix has shape (12, 0)"
+            in caplog.text)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_lambda_pct_on_zero_data_rejected_before_out(
+        degenerate_files, tmp_path, caplog, command):
+    out = tmp_path / "run"
+    est = tmp_path / "estimate.json"
+    io.write_estimate(est, BlockSparseEstimate.empty(30, 1, 5))
+    tail = (["--out", str(out)] if command == "solve"
+            else ["--estimate", str(est)])
+    rc = main([command, "--gain", str(degenerate_files["gain"]),
+               "--data", str(degenerate_files["zero"]), "--lambda-pct", "30",
+               *tail])
+    assert rc == 2
+    assert "--lambda-pct 30.0 gives lambda 0.0" in caplog.text
+    assert "lambda_max is 0.0" in caplog.text
+    assert not out.exists()
+
+
+def test_lambda_on_zero_data_gives_empty_estimate(degenerate_files, tmp_path,
+                                                  capsys):
+    problem = ["--gain", str(degenerate_files["gain"]),
+               "--data", str(degenerate_files["zero"]), "--lambda", "1"]
+    out = tmp_path / "run"
+    assert main(["solve", *problem, "--out", str(out)]) == 0
+    assert io.read_estimate(out / "estimate.json").n_active == 0
+    capsys.readouterr()
+    assert main(["check", *problem,
+                 "--estimate", str(out / "estimate.json")]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["gap"] == 0.0 and result["n_active"] == 0
+
+
 def test_solve_methods_agree_at_single_reweight(problem_files, tmp_path):
     gain, data, _, _ = problem_files
     out_mx = tmp_path / "mx"
@@ -495,17 +551,19 @@ def test_simulate_config_rejects_other_types(tmp_path, caplog):
 
 @pytest.mark.parametrize("key,value", [
     ("seed", ["x"]), ("seed", [[1]]), ("lambda_pct", [30, "high"]),
+    ("seed", []), ("lambda_pct", []), ("method", []),
 ])
 def test_simulate_config_checks_list_elements(tmp_path, caplog, key, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
-    flags = {"seed": ["--seed", "1"], "lambda_pct": ["--lambda-pct", "50"]}
+    flags = {"seed": ["--seed", "1"], "lambda_pct": ["--lambda-pct", "50"],
+             "method": ["--method", "mxne"]}
     flags.pop(key)
     rc = main(["simulate", *SIM_ARGS, *sum(flags.values(), []),
-               "--method", "mxne", "--config", str(cfg),
-               "--out", str(tmp_path / "sim")])
+               "--config", str(cfg), "--out", str(tmp_path / "sim")])
     assert rc == 2
     assert repr(key) in caplog.text
+    assert not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize("value", [[30], 30, ["30"]])
@@ -649,6 +707,43 @@ def test_benchmark_rejects_unknown_method_before_running(tmp_path, monkeypatch,
     assert "'pgd_sa'" in caplog.text
     assert ran == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("methods, message", [
+    (",", "--methods names no benchmark method"),
+    ("", "--methods names no benchmark method"),
+    ([], "option 'methods': invalid value []"),
+], ids=["comma", "blank", "config"])
+def test_benchmark_rejects_empty_method_list_before_running(
+        tmp_path, monkeypatch, caplog, methods, message):
+    ran = []
+    monkeypatch.setattr(cli, "_run_benchmark_method",
+                        lambda name, *args: ran.append(name))
+    # a list comes from the config file, a string from the flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"methods": methods}))
+    option = (["--methods", methods] if isinstance(methods, str)
+              else ["--config", str(cfg)])
+    out = tmp_path / "bench"
+    rc = main(["benchmark", "--seed", "0", "--n-sensors", "10",
+               "--n-locations", "20", "--n-times", "4", "--lambda-pct", "50",
+               *option, "--out", str(out)])
+    assert rc == 2
+    assert message in caplog.text
+    assert ran == []
+    assert not out.exists()
+
+
+def test_benchmark_skips_empty_method_names(tmp_path):
+    out = tmp_path / "bench"
+    rc = main(["benchmark", "--seed", "5", "--n-sensors", "20",
+               "--n-locations", "40", "--n-orient", "1", "--n-times", "5",
+               "--lambda-pct", "50", "--methods", "bcd_as,,pgd_as",
+               "--out", str(out)])
+    assert rc == 0
+    with open(out / "timings.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["method"] for row in rows] == ["bcd_as", "pgd_as"]
 
 
 def test_benchmark_rejects_nonpositive_lambda_before_running(

@@ -95,8 +95,9 @@ def test_residual_never_increases():
         r_deb = np.linalg.norm(residual(m, g, debiased))
         assert r_deb <= r_raw + 1e-12 * max(1.0, r_raw)
         # waveform shapes and directions preserved exactly
-        for i, (s, b) in enumerate(zip(est.active_set, est.blocks)):
-            assert np.array_equal(debiased.block_for(s), scaling[i] * b)
+        assert debiased.active_set == est.active_set
+        for i, (b_deb, b) in enumerate(zip(debiased.blocks, est.blocks)):
+            assert np.array_equal(b_deb, scaling[i] * b)
 
 
 def test_empty_estimate_rejected():

@@ -317,8 +317,7 @@ def test_orientation_rotation_equivariance():
         obj_rot = nonconvex_objective(m, g_rot, est_rot, lam)
         assert abs(obj - obj_rot) <= 1e-8 * max(1.0, abs(obj))
         assert est.active_set == est_rot.active_set
-        for s, b in zip(est.active_set, est.blocks):
-            b_rot = est_rot.block_for(s)
+        for s, b, b_rot in zip(est.active_set, est.blocks, est_rot.blocks):
             assert np.allclose(rotations[s].T @ b, b_rot, atol=1e-6)
 
 

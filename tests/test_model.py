@@ -4,6 +4,8 @@ import pickle
 import numpy as np
 import pytest
 
+from bsmx.constraints import DepthWeights
+from bsmx.irmxne import ReweightState
 from bsmx.model import (
     BlockDesign,
     BlockSparseEstimate,
@@ -15,6 +17,7 @@ from bsmx.model import (
     residual,
     sparsify,
 )
+from bsmx.sim import ScenarioSpec, StabilityReport, generate_scenario
 
 from helpers import make_instance
 
@@ -58,9 +61,9 @@ def test_pack_unpack_round_trip():
                 s, o, t)
             x = _pack(est, cand, o, t)
             assert x.shape == (cand.size * o, t)
+            stored = dict(zip(est.active_set, est.blocks))
             for i, loc in enumerate(cand):
-                blk = est.block_for(int(loc))
-                expected = np.zeros((o, t)) if blk is None else blk
+                expected = stored.get(int(loc), np.zeros((o, t)))
                 assert np.array_equal(x[i * o:(i + 1) * o], expected)
             back = _unpack(x, cand, s, o)
             assert back.active_set == est.active_set
@@ -168,6 +171,17 @@ def test_measurements_validation():
         Measurements(np.zeros(3))
 
 
+def test_matrix_without_rows_or_columns_rejected():
+    with pytest.raises(ValueError, match=r"data matrix has shape \(12, 0\)"):
+        Measurements(np.zeros((12, 0)))
+    with pytest.raises(ValueError, match=r"data matrix has shape \(0, 5\)"):
+        Measurements(np.zeros((0, 5)))
+    with pytest.raises(ValueError, match=r"design matrix has shape \(0, 30\)"):
+        BlockDesign(np.zeros((0, 30)), 30, 1)
+    with pytest.raises(ValueError, match=r"design matrix has shape \(12, 0\)"):
+        BlockDesign._adopt(np.zeros((12, 0)), 0, 1)
+
+
 def test_estimate_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         BlockSparseEstimate((1, 1), np.ones((4, 3)), 4, 2, 3)
@@ -214,9 +228,10 @@ def test_estimate_survives_pickling():
         assert np.array_equal(copy.coef, est.coef)
         assert not copy.coef.flags.writeable
         assert len(copy.blocks) == est.n_active
-        assert all(np.shares_memory(b, copy.coef) for b in copy.blocks)
-        for s, b in zip(est.active_set, est.blocks):
-            assert np.array_equal(copy.block_for(s), b)
+        assert all(np.shares_memory(b, copy.coef) and not b.flags.writeable
+                   for b in copy.blocks)
+        for b_copy, b in zip(copy.blocks, est.blocks):
+            assert np.array_equal(b_copy, b)
 
 
 def test_single_time_sample_supported():
@@ -244,9 +259,36 @@ def test_solver_config_validation():
         SolverConfig(max_reweight=0)
 
 
-def test_block_lookup():
-    blk = np.ones((2, 3))
-    est = BlockSparseEstimate.from_blocks([(2, blk)], 4, 2, 3)
-    assert est.block_for(2) is est.blocks[0]
-    assert est.block_for(0) is None
-    assert est.n_active == 1
+def test_estimate_stores_only_its_validated_fields():
+    rng = np.random.default_rng(8)
+    _, _, truth = make_instance(rng)
+    for est in (truth, BlockSparseEstimate.empty(7, 3, 4)):
+        assert set(vars(est)) == {"active_set", "coef", "n_locations",
+                                  "n_orient", "n_times"}
+
+
+def test_value_types_compare_by_identity():
+    # two distinct instances with the same content, for every type that
+    # holds arrays: equality is identity, so comparing never reaches an
+    # array, and every one of them hashes
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((4, 6))
+    blocks = [(1, rng.standard_normal((2, 3)))]
+    spec = ScenarioSpec(n_sensors=8, n_locations=20, n_times=6, n_trials=3,
+                        n_noise_dipoles=2)
+    sel = np.array([[True, False], [True, True]])
+    makers = [
+        lambda: BlockDesign(g, 3, 2),
+        lambda: Measurements(g),
+        lambda: BlockSparseEstimate.from_blocks(blocks, 3, 2, 3),
+        lambda: DepthWeights(0.8, np.ones(3)),
+        lambda: generate_scenario(spec),
+        lambda: StabilityReport(sel, sel.mean(axis=0), 0.5),
+        lambda: ReweightState([np.ones(3)], 1, [2.0], True),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a
+        assert not a == b
+        assert a != b
+        assert len({a, b, a}) == 2

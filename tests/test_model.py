@@ -141,6 +141,10 @@ def test_design_validation():
         BlockDesign(np.full((2, 4), np.nan), 2, 2)
     with pytest.raises(ValueError):
         BlockDesign(np.zeros((2, 4)), 0, 4)
+    with pytest.raises(ValueError, match=r"design matrix has shape \(0, 30\)"):
+        BlockDesign(np.zeros((0, 30)), 30, 1)
+    with pytest.raises(ValueError, match=r"design matrix has shape \(12, 0\)"):
+        BlockDesign._adopt(np.zeros((12, 0)), 0, 1)
 
 
 def test_design_constructor_copies():
@@ -169,17 +173,10 @@ def test_measurements_validation():
         Measurements([[1.0, np.inf]])
     with pytest.raises(ValueError, match="2-D"):
         Measurements(np.zeros(3))
-
-
-def test_matrix_without_rows_or_columns_rejected():
     with pytest.raises(ValueError, match=r"data matrix has shape \(12, 0\)"):
         Measurements(np.zeros((12, 0)))
     with pytest.raises(ValueError, match=r"data matrix has shape \(0, 5\)"):
         Measurements(np.zeros((0, 5)))
-    with pytest.raises(ValueError, match=r"design matrix has shape \(0, 30\)"):
-        BlockDesign(np.zeros((0, 30)), 30, 1)
-    with pytest.raises(ValueError, match=r"design matrix has shape \(12, 0\)"):
-        BlockDesign._adopt(np.zeros((12, 0)), 0, 1)
 
 
 def test_estimate_validation():

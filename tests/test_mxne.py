@@ -703,10 +703,10 @@ def test_solve_active_set_excludes_zero_blocks():
 
 def test_solve_active_set_is_scale_equivariant():
     # scaling M and lam by c scales the optimum by c: the support is the
-    # same and X_c / c matches X. The range of c stops where the absolute
-    # stopping tests of the solver (ROADMAP item 1) start to bite; at
-    # c = 1e-2 the error reaches 8e-4, and from c = 1e-3 the support
-    # changes. Making the tests scale-relative widens the range.
+    # same and X_c / c matches X. The range of c stops where the solver's
+    # absolute stopping tests bite, as gap_tol does not scale with the
+    # data: at c = 1e-2 the error reaches 8e-4, and from c = 1e-3 the
+    # support changes. Scale-relative stopping tests widen the range.
     instances = [random_instance(np.random.default_rng(seed), 30, 120, 3, 12,
                                  n_active=4, noise=0.1)[:2]
                  for seed in range(6)]

@@ -10,7 +10,8 @@ Each option is defined once, in :func:`build_parser`. A JSON config file
 (``--config``) sets options by their dest names (``lam`` for ``--lambda``,
 ``lambda_pct``, ``n_orient``, ...), converted as the flags are: a
 repeatable option takes one value or a list, a switch ``true`` or
-``false``, and a key that is no option of the command is an error.
+``false``, and a key that is no option of the command is an error. A
+repeatable option, from flags or a file, may not give one value twice.
 Option precedence: command-line flags > config file > built-in defaults.
 Exit codes: 0 success, 2 parse or dimension errors, 3 solver failure
 (iteration cap exceeded).
@@ -137,6 +138,14 @@ def _config_value(action, key, value):
     raise ValueError(f"option {key!r}: invalid value {value!r}")
 
 
+def _check_distinct(flag, values):
+    """Reject a value that a repeatable option gives twice, which would
+    run the same work twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{flag} gives {value!r} twice")
+
+
 def _parse_args(argv: List[str]) -> argparse.Namespace:
     """The options a command runs with: each takes its flag's value, else
     the ``--config`` file's, else its default. ``args.resolved`` maps every
@@ -163,6 +172,9 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         if getattr(args, dest) is None:
             value = cfg.get(dest)
             setattr(args, dest, action.default if value is None else value)
+        if isinstance(action, argparse._AppendAction):
+            _check_distinct(action.option_strings[0],
+                            getattr(args, dest) or ())
     args.resolved = {dest: getattr(args, dest) for dest in options}
     return args
 
@@ -420,6 +432,7 @@ def cmd_benchmark(args) -> int:
     # before anything runs or is written
     names = [name.strip() for entry in args.methods for name in entry.split(",")]
     method_list = [name for name in names if name]
+    _check_distinct("--methods", method_list)
     if not method_list:
         raise ValueError(f"--methods names no benchmark method; expected "
                          f"some of {', '.join(BENCH_METHODS)}")

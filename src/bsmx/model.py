@@ -262,18 +262,14 @@ class SolverConfig:
     Parameters
     ----------
     gap_tol : float
-        Duality-gap threshold declaring a convex solve optimal.
+        Duality-gap threshold declaring a convex solve optimal. A gap
+        within 4 ulps of the primal, its roundoff, also certifies.
     reweight_tol : float
         Entrywise max-abs change between consecutive reweighted estimates
         below which the outer loop stops.
     max_reweight : int
         Cap on reweighting iterations. Exhausting it is not an error; the
         last iterate is returned with ``converged=False``.
-    active_batch : int
-        Number of candidate locations added by the first active-set
-        expansion, and the minimum added by each later one: after the
-        first, every expansion adds up to as many locations as the set
-        already holds, so the candidate set doubles while violators remain.
     max_bcd_iter : int
         Safety cap on inner coordinate-descent sweeps per subproblem.
     """
@@ -281,7 +277,6 @@ class SolverConfig:
     gap_tol: float = 1e-6
     reweight_tol: float = 1e-6
     max_reweight: int = 30
-    active_batch: int = 10
     max_bcd_iter: int = 100_000
 
     def __post_init__(self):
@@ -291,8 +286,6 @@ class SolverConfig:
             raise ValueError("reweight_tol must be positive")
         if self.max_reweight < 1:
             raise ValueError("max_reweight must be at least 1")
-        if self.active_batch < 1:
-            raise ValueError("active_batch must be at least 1")
         if self.max_bcd_iter < 1:
             raise ValueError("max_bcd_iter must be at least 1")
 

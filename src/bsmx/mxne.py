@@ -56,10 +56,15 @@ __all__ = [
 _RESYNC_EVERY = 50
 # after an expansion, inner solves stop at this fraction of the full gap
 _INNER_TOL_RATIO = 0.3
+# the first expansion adds this many locations, and every later one at least
+# this many: the set doubles anyway, so it only shifts the expansion count
+_FIRST_BATCH = 10
 # solve_bcd extrapolates its iterates after every this many sweeps
 _ANDERSON_K = 5
 # locations per G^T R product when scoring: bounds the product's temporary
 _SCORE_CHUNK = 1024
+# a gap within this many ulps of the primal is its roundoff and certifies
+_ROUNDOFF_ULPS = 4
 
 
 class IterationLimitError(RuntimeError):
@@ -202,6 +207,15 @@ def _gap(m: Measurements, r: np.ndarray, coef: np.ndarray,
     return GapReport(primal=primal, dual=dual, gap=primal - dual), norms
 
 
+def _certified(report: GapReport, gap_tol: float) -> bool:
+    """Whether a gap report certifies at ``gap_tol``: its gap is below
+    ``gap_tol`` or within ``_ROUNDOFF_ULPS`` ulps of the primal, the
+    roundoff below which a gap cannot be resolved. Every stop test of
+    every solver is this one."""
+    floor = _ROUNDOFF_ULPS * np.finfo(float).eps * abs(report.primal)
+    return report.gap < max(gap_tol, floor)
+
+
 def primal_objective(m: Measurements, g: BlockDesign, est: BlockSparseEstimate,
                      lam: Union[float, np.ndarray]) -> float:
     """Value of ``0.5 * ||M - G X||_Fro^2 + sum_s lam_s ||X_s||_Fro``."""
@@ -272,7 +286,7 @@ def solve_bcd(
     gap_tol: float,
     *,
     candidates: Optional[Iterable[int]] = None,
-    max_iter: int = 100_000,
+    max_iter: int = SolverConfig.max_bcd_iter,
     trace: Optional[ConvergenceTrace] = None,
 ) -> Tuple[BlockSparseEstimate, ConvergenceTrace]:
     """Cyclic block coordinate descent with Anderson extrapolation.
@@ -297,9 +311,10 @@ def solve_bcd(
     primal objective.
 
     Each pass evaluates the duality gap of the restricted problem, then
-    extrapolates if due, then sweeps; iteration stops when the gap drops
-    below ``gap_tol``. Every trace row is therefore the gap of an iterate
-    a sweep produced, and a call adds one row more than it runs sweeps.
+    extrapolates if due, then sweeps; iteration stops when the gap
+    certifies (:func:`_certified`). Every trace row is therefore the gap
+    of an iterate a sweep produced, and a call adds one row more than it
+    runs sweeps.
     That gap is the full check's :func:`_gap` over the candidates' rows of
     ``G^T``, fresh residuals use :func:`bsmx.model._forward_rows`, and the
     inputs pass :func:`_check_inputs`, as in every entry point. With no
@@ -383,7 +398,7 @@ def solve_bcd(
         report, _ = _gap(m, r, x, lam_cand, g_cand_t, lam_cand, n_orient)
         primal, gap = report.primal, report.gap
         trace.add(gap, sum(active), primal)
-        if gap < gap_tol:
+        if _certified(report, gap_tol):
             break
         if sweeps >= max_iter:
             raise IterationLimitError(
@@ -455,16 +470,18 @@ def solve_active_set(
     The policy follows the working-set scheme of Celer (Massias, Gramfort
     and Salmon, 2018):
 
-    - Growth: each expansion adds up to
-      ``max(config.active_batch, len(candidates))`` top violators, so the
-      candidate set at least doubles while violators remain.
+    - Growth: each expansion adds up to ``max(10, len(candidates))`` top
+      violators, so the candidate set at least doubles while violators
+      remain.
     - Inner tolerance: after an expansion that added candidates, the
       restricted solve stops at ``max(gap_tol, 0.3 * full_gap)``, where
       ``full_gap`` is the certificate just computed; otherwise it runs to
       ``gap_tol`` itself. Both inner solvers follow the same rule.
     - Certificate: only the full-problem gap certifies. An estimate is
-      returned once that gap is below ``gap_tol``; a loose restricted
-      solve never ends the loop.
+      returned once that gap is below ``gap_tol``, or within
+      ``_ROUNDOFF_ULPS`` (4) ulps of the primal, where roundoff hides any
+      smaller gap at large data scales; a loose restricted solve never
+      ends the loop.
 
     The candidate set only grows within one call; all-zero design blocks
     are excluded from candidacy with a warning. Determinism: sweeps run in
@@ -489,8 +506,8 @@ def solve_active_set(
     Raises
     ------
     IterationLimitError
-        If the outer loop exceeds ``n_locations / active_batch + 10``
-        expansions, or an inner solve exceeds its own cap.
+        If the outer loop exceeds ``n_locations // 10 + 10`` expansions,
+        or an inner solve exceeds its own cap.
     """
     lam_vec, _ = _check_inputs(m, g, lam, warm)
     if inner not in ("bcd", "pgd"):
@@ -520,14 +537,14 @@ def solve_active_set(
 
     in_set = np.zeros(n_loc, dtype=bool)
     in_set[list(est.active_set)] = True
-    outer_cap = n_loc // config.active_batch + 10
+    outer_cap = n_loc // _FIRST_BATCH + 10
     try:
         for outer in range(outer_cap + 1):
             report, norms = _gap(m, residual(m, g, est), est.coef,
                                  lam_vec[list(est.active_set)], g.entries.T,
                                  lam_vec, n_orient)
             trace.add(report.gap, est.n_active, report.primal)
-            if report.gap < config.gap_tol:
+            if _certified(report, config.gap_tol):
                 return _change_time_basis(est, vt), trace
             if outer == outer_cap:
                 raise IterationLimitError(
@@ -536,7 +553,7 @@ def solve_active_set(
                     estimate=est,
                     gap=report.gap,
                 )
-            batch = max(config.active_batch, int(in_set.sum()))
+            batch = max(_FIRST_BATCH, int(in_set.sum()))
             new = _top_violators(norms, lam_vec, in_set | ~valid, batch)
             in_set[new] = True
             cand = np.flatnonzero(in_set)

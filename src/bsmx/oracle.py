@@ -21,7 +21,7 @@ from .model import (
     _pack,
     _unpack,
 )
-from .mxne import IterationLimitError, _check_inputs, _gap, _primal
+from .mxne import IterationLimitError, _certified, _check_inputs, _gap, _primal
 from .prox import prox_blocks
 
 __all__ = ["global_lipschitz", "solve_proximal_gradient"]
@@ -58,8 +58,8 @@ def solve_proximal_gradient(
     monotone restart: whenever the momentum step would increase the
     objective, momentum is dropped and the step is retaken from the last
     accepted iterate, which guarantees a non-increasing objective
-    sequence. Convergence is declared by the same duality gap as the
-    production solver.
+    sequence. Convergence is declared by the same duality gap and stop
+    test as the production solver.
 
     Parameters
     ----------
@@ -106,7 +106,7 @@ def solve_proximal_gradient(
     x = _pack(init, cand, n_orient, n_times)
     r = mm - _forward_rows(gt, x)
     f_x = _primal(r, x, lam_vec, n_orient)
-    if _gap(m, r, x, lam_vec, gt, lam_vec, n_orient)[0].gap < gap_tol:
+    if _certified(_gap(m, r, x, lam_vec, gt, lam_vec, n_orient)[0], gap_tol):
         return _unpack(x, cand, g.n_locations, n_orient)
 
     z = x.copy()
@@ -122,8 +122,8 @@ def solve_proximal_gradient(
         x, r, f_x, t = x_new, r_new, f_new, t_new
         if callback is not None:
             callback(it, x, f_x)
-        if it % _GAP_CHECK_EVERY == 0 and _gap(
-                m, r, x, lam_vec, gt, lam_vec, n_orient)[0].gap < gap_tol:
+        if it % _GAP_CHECK_EVERY == 0 and _certified(
+                _gap(m, r, x, lam_vec, gt, lam_vec, n_orient)[0], gap_tol):
             return _unpack(x, cand, g.n_locations, n_orient)
 
     gap = _gap(m, r, x, lam_vec, gt, lam_vec, n_orient)[0].gap

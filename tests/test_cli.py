@@ -429,6 +429,19 @@ def test_bad_problem_option_exits_2_before_reading(problem_files, tmp_path,
      "--resamples must be non-negative, got -3"),
     (["simulate", "--seed", "0", "--jobs", "0"], "generate_scenario",
      "--jobs must be at least 1, got 0"),
+    (["simulate", "--seed", "0", "--seed", "0"], "generate_scenario",
+     "--seed gives 0 twice"),
+    (["simulate", "--seed", "0", "--lambda-pct", "30", "--lambda-pct", "30"],
+     "generate_scenario", "--lambda-pct gives 30.0 twice"),
+    (["simulate", "--seed", "0", "--method", "mxne", "--method", "mxne"],
+     "generate_scenario", "--method gives 'mxne' twice"),
+    (["benchmark", "--seed", "0", "--lambda-pct", "50", "--lambda-pct",
+      "50.0"], "random_instance", "--lambda-pct gives 50.0 twice"),
+    (["benchmark", "--seed", "0", "--methods", "bcd_as,bcd_as"],
+     "random_instance", "--methods gives 'bcd_as' twice"),
+    (["benchmark", "--seed", "0", "--methods", "bcd_as,pgd_as",
+      "--methods", "pgd_as"], "random_instance",
+     "--methods gives 'pgd_as' twice"),
 ])
 def test_bad_option_exits_2_before_any_work(problem_files, tmp_path,
                                             monkeypatch, caplog, argv,
@@ -673,12 +686,12 @@ def test_check_depth_rejects_estimate_over_other_locations(tmp_path, caplog):
     assert "covers 12 locations, design has 8" in caplog.text
 
 
-def test_benchmark_honours_active_batch(tmp_path, monkeypatch):
-    batches = []
+def test_benchmark_honours_max_bcd_iter(tmp_path, monkeypatch):
+    caps = []
     solve = cli.solve_active_set
 
     def recording(m, g, warm, lam, config, **kwargs):
-        batches.append(config.active_batch)
+        caps.append(config.max_bcd_iter)
         return solve(m, g, warm, lam, config, **kwargs)
 
     monkeypatch.setattr(cli, "solve_active_set", recording)
@@ -686,11 +699,11 @@ def test_benchmark_honours_active_batch(tmp_path, monkeypatch):
     rc = main(["benchmark", "--seed", "5", "--n-sensors", "20",
                "--n-locations", "40", "--n-orient", "1", "--n-times", "5",
                "--lambda-pct", "50", "--methods", "bcd_as",
-               "--active-batch", "50", "--out", str(out)])
+               "--max-bcd-iter", "5000", "--out", str(out)])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["active_batch"] == 50
-    assert batches == [50]
+    assert manifest["config"]["max_bcd_iter"] == 5000
+    assert caps == [5000]
 
 
 @pytest.mark.parametrize("methods", ["bcd_as,pgd_sa", "pgd_sa,bcd_as"])
@@ -774,6 +787,10 @@ def test_benchmark_rejects_nonpositive_lambda_before_running(
     (["--resamples", "-3"], "--resamples must be non-negative, got -3"),
     (["--jobs", "-4"], "--jobs must be at least 1, got -4"),
     (["--jobs", "0"], "--jobs must be at least 1, got 0"),
+    (["--seed", "1"], "--seed gives 1 twice"),
+    (["--lambda-pct", "50"], "--lambda-pct gives 50.0 twice"),
+    (["--method", "irmxne", "--method", "irmxne"],
+     "--method gives 'irmxne' twice"),
 ])
 def test_simulate_rejects_bad_options_before_solving(tmp_path, monkeypatch,
                                                      caplog, flags, message):
@@ -1004,6 +1021,31 @@ def test_config_rejects_unknown_key(tmp_path, caplog, command):
     assert main(argv) == 2
     assert "'lamda_pct'" in caplog.text
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, key, values, patched, message", [
+    ("simulate", "seed", [3, 3], "generate_scenario", "--seed gives 3 twice"),
+    ("simulate", "lambda_pct", [30, 30.0], "generate_scenario",
+     "--lambda-pct gives 30.0 twice"),
+    ("simulate", "method", ["mxne", "irmxne", "mxne"], "generate_scenario",
+     "--method gives 'mxne' twice"),
+    ("benchmark", "lambda_pct", [50, 50], "random_instance",
+     "--lambda-pct gives 50.0 twice"),
+    ("benchmark", "methods", ["bcd_as", "pgd_as,bcd_as"], "random_instance",
+     "--methods gives 'bcd_as' twice"),
+])
+def test_config_rejects_repeated_value(tmp_path, monkeypatch, caplog, command,
+                                       key, values, patched, message):
+    monkeypatch.setattr(cli, patched, _fail_on_call(patched))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: values}))
+    base = _base_options(command, tmp_path)
+    base.pop(key, None)
+    out = tmp_path / "run"
+    assert main([command, *sum(base.values(), []), "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert not out.exists()
 
 
 def test_benchmark_repeated_methods_flag_matches_config(tmp_path):

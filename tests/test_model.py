@@ -244,14 +244,11 @@ def test_single_time_sample_supported():
 
 def test_solver_config_validation():
     assert [f.name for f in dataclasses.fields(SolverConfig())] == [
-        "gap_tol", "reweight_tol", "max_reweight", "active_batch",
-        "max_bcd_iter"]
+        "gap_tol", "reweight_tol", "max_reweight", "max_bcd_iter"]
     with pytest.raises(ValueError):
         SolverConfig(gap_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(reweight_tol=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(active_batch=0)
     with pytest.raises(ValueError):
         SolverConfig(max_reweight=0)
 

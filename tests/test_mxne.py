@@ -577,9 +577,9 @@ def test_solve_active_set_initial_batch_is_top_correlations(monkeypatch):
     lam = 0.2 * lambda_max(m, g)
     batch = 4
     expected = sorted(np.argsort(-norms, kind="stable")[:batch].tolist())
-    config = SolverConfig(active_batch=batch)
+    monkeypatch.setattr(bsmx.mxne, "_FIRST_BATCH", batch)
     calls = _record_inner_solves(monkeypatch)
-    solve_active_set(m, g, None, lam, config)
+    solve_active_set(m, g, None, lam, SolverConfig())
     assert calls[0][0] == expected
 
 
@@ -591,9 +591,9 @@ def test_solve_active_set_candidates_double_while_violators_remain(
         m, g, _ = make_instance(rng, n_sensors=60, n_locations=200,
                                 n_active=15, noise=0.3)
         lam = 0.2 * lambda_max(m, g)
-        config = SolverConfig(active_batch=batch)
+        monkeypatch.setattr(bsmx.mxne, "_FIRST_BATCH", batch)
         calls = _record_inner_solves(monkeypatch)
-        est, _ = solve_active_set(m, g, None, lam, config)
+        est, _ = solve_active_set(m, g, None, lam, SolverConfig())
         assert est.n_active >= 40
         prev_cand = []
         prev_est = BlockSparseEstimate.empty(g.n_locations, g.n_orient,
@@ -618,7 +618,8 @@ def test_solve_active_set_matches_full_bcd(monkeypatch):
     for _ in range(5):
         m, g, _ = make_instance(rng, n_locations=25, noise=0.2)
         lam = 0.35 * lambda_max(m, g)
-        config = SolverConfig(active_batch=3)
+        config = SolverConfig()
+        monkeypatch.setattr(bsmx.mxne, "_FIRST_BATCH", 3)
         calls = _record_inner_solves(monkeypatch)
         est_as, trace_as = solve_active_set(m, g, None, lam, config)
         est_full, _ = solve_bcd(m, g, None, lam, config.gap_tol)
@@ -639,10 +640,11 @@ def test_solve_active_set_pgd_inner_uses_same_tolerances(monkeypatch):
     rng = np.random.default_rng(27)
     m, g, _ = make_instance(rng, n_locations=30, noise=0.2)
     lam = 0.3 * lambda_max(m, g)
-    config = SolverConfig(active_batch=2)
+    config = SolverConfig()
+    monkeypatch.setattr(bsmx.mxne, "_FIRST_BATCH", 2)
     bcd_calls = _record_inner_solves(monkeypatch)
     solve_active_set(m, g, None, lam, config)
-    monkeypatch.undo()
+    monkeypatch.setattr(bsmx.mxne, "solve_bcd", solve_bcd)
 
     pgd_tols = []
     pgd = bsmx.oracle.solve_proximal_gradient
@@ -703,10 +705,12 @@ def test_solve_active_set_excludes_zero_blocks():
 
 def test_solve_active_set_is_scale_equivariant():
     # scaling M and lam by c scales the optimum by c: the support is the
-    # same and X_c / c matches X. The range of c stops where the solver's
-    # absolute stopping tests bite, as gap_tol does not scale with the
-    # data: at c = 1e-2 the error reaches 8e-4, and from c = 1e-3 the
-    # support changes. Scale-relative stopping tests widen the range.
+    # same and X_c / c matches X. Above c = 1e4 the gap sticks near one ulp
+    # of the primal, where the roundoff floor of the stop test certifies
+    # it; without the floor 3 of the 28 large-c cases spun to the sweep
+    # cap. Below, the range stops where the absolute gap_tol bites, as it
+    # does not scale with the data: at c = 1e-2 the error reaches 8e-4, and
+    # from c = 1e-3 the support changes.
     instances = [random_instance(np.random.default_rng(seed), 30, 120, 3, 12,
                                  n_active=4, noise=0.1)[:2]
                  for seed in range(6)]
@@ -717,12 +721,39 @@ def test_solve_active_set_is_scale_equivariant():
         lam = 0.3 * lambda_max(m, g)
         est, _ = solve_active_set(m, g, None, lam, config)
         x = densify(est)
-        for c in (1e-1, 1e1, 1e2, 1e4):
+        for c in (1e-1, 1e1, 1e2, 1e4, 1e5, 1e6, 1e7, 1e8):
             est_c, _ = solve_active_set(Measurements(c * m.entries), g, None,
                                         c * lam, config)
             assert est_c.active_set == est.active_set
             err = np.abs(densify(est_c) / c - x).max()
             assert err <= 1e-4 * np.abs(x).max(), (c, err)
+
+
+def _packaging_instance():
+    """The 12 x 30 gain and 6-sample data of the CI packaging step."""
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((12, 30))
+    data = g[:, [3, 17]] @ rng.standard_normal((2, 6))
+    return Measurements(data), BlockDesign(g, 30, 1)
+
+
+def test_large_scale_gap_stall_certifies():
+    # at 1e5 times the data the gap sticks at about one ulp of the 5.2e11
+    # primal, 1.2e-4, far above gap_tol: an absolute stop test spun to the
+    # sweep cap here, while the roundoff floor certifies it
+    m, g = _packaging_instance()
+    lam = 0.3 * lambda_max(m, g)
+    config = SolverConfig(max_bcd_iter=3000)
+    est, _ = solve_active_set(m, g, None, lam, config)
+    c = 1e5
+    m_c = Measurements(c * m.entries)
+    est_c, trace = solve_active_set(m_c, g, None, c * lam, config)
+    assert est_c.active_set == est.active_set
+    assert np.abs(densify(est_c) / c - densify(est)).max() <= 1e-12
+    assert trace.final.gap < 4 * np.finfo(float).eps * trace.final.primal
+    # irMxNE is not scale-equivariant, but its convex solves stall alike
+    est_ir, _, _ = bsmx.irmxne.solve_irmxne(m_c, g, c * lam, config)
+    assert est_ir.n_active >= 1
 
 
 def test_support_optimality_certificates():

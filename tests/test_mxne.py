@@ -705,12 +705,12 @@ def test_solve_active_set_excludes_zero_blocks():
 
 def test_solve_active_set_is_scale_equivariant():
     # scaling M and lam by c scales the optimum by c: the support is the
-    # same and X_c / c matches X. Above c = 1e4 the gap sticks near one ulp
-    # of the primal, where the roundoff floor of the stop test certifies
-    # it; without the floor 3 of the 28 large-c cases spun to the sweep
-    # cap. Below, the range stops where the absolute gap_tol bites, as it
-    # does not scale with the data: at c = 1e-2 the error reaches 8e-4, and
-    # from c = 1e-3 the support changes.
+    # same and X_c / c matches X. Above c = 1e4 the gap can stick near one
+    # ulp of the primal, far above gap_tol, so some of these cases certify
+    # only through the stop test's roundoff floor. Below, the range stops
+    # where the absolute gap_tol bites, as it does not scale with the
+    # data: at c = 1e-2 the error reaches 8e-4, and from c = 1e-3 the
+    # support changes.
     instances = [random_instance(np.random.default_rng(seed), 30, 120, 3, 12,
                                  n_active=4, noise=0.1)[:2]
                  for seed in range(6)]
@@ -729,19 +729,15 @@ def test_solve_active_set_is_scale_equivariant():
             assert err <= 1e-4 * np.abs(x).max(), (c, err)
 
 
-def _packaging_instance():
-    """The 12 x 30 gain and 6-sample data of the CI packaging step."""
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((12, 30))
-    data = g[:, [3, 17]] @ rng.standard_normal((2, 6))
-    return Measurements(data), BlockDesign(g, 30, 1)
-
-
 def test_large_scale_gap_stall_certifies():
-    # at 1e5 times the data the gap sticks at about one ulp of the 5.2e11
-    # primal, 1.2e-4, far above gap_tol: an absolute stop test spun to the
-    # sweep cap here, while the roundoff floor certifies it
-    m, g = _packaging_instance()
+    # the CI packaging instance at 1e5 times its data: the gap sticks at
+    # about one ulp of the 5.2e11 primal, 1.2e-4, far above gap_tol, so an
+    # absolute stop test alone spins to the sweep cap; the roundoff floor
+    # certifies it
+    rng = np.random.default_rng(0)
+    gain = rng.standard_normal((12, 30))
+    m = Measurements(gain[:, [3, 17]] @ rng.standard_normal((2, 6)))
+    g = BlockDesign(gain, 30, 1)
     lam = 0.3 * lambda_max(m, g)
     config = SolverConfig(max_bcd_iter=3000)
     est, _ = solve_active_set(m, g, None, lam, config)

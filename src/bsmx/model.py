@@ -263,7 +263,9 @@ class SolverConfig:
     ----------
     gap_tol : float
         Duality-gap threshold declaring a convex solve optimal. A gap
-        within 4 ulps of the primal, its roundoff, also certifies.
+        within 4 ulps of the primal, its roundoff, also certifies. The
+        first of several irMxNE iterations stops at the looser
+        ``max(gap_tol, 1e-6 * 0.5 * ||M||_Fro^2)``.
     reweight_tol : float
         Entrywise max-abs change between consecutive reweighted estimates
         below which the outer loop stops.

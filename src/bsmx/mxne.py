@@ -11,6 +11,12 @@ through the duality gap.
 the weighted-penalty problem ``... + sum_s lam[s] * ||X_s||_Fro``.
 Every entry point checks its inputs with :func:`_check_inputs`; every
 certificate, full or restricted, is a report of :func:`_gap`.
+
+The working-set driver's full check on a design of more than
+``_SCORE_CHUNK`` locations screens the scores ``||G_s^T R||_Fro`` in
+float32 (:class:`_Screen`) and rescores in float64 every location whose
+error interval can matter, so its dual scale, gap and picks are bit for
+bit those of the float64 scores.
 """
 
 from __future__ import annotations
@@ -65,6 +71,9 @@ _ANDERSON_K = 5
 _SCORE_CHUNK = 1024
 # a gap within this many ulps of the primal is its roundoff and certifies
 _ROUNDOFF_ULPS = 4
+# unit roundoff of float32 and float64, and the smallest normal float32
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53
+_TINY32 = float(np.finfo(np.float32).tiny)
 
 
 class IterationLimitError(RuntimeError):
@@ -180,28 +189,131 @@ def _scores(gt: np.ndarray, r: np.ndarray, n_orient: int) -> np.ndarray:
     return norms
 
 
+def _gamma(k: int, u: float) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)``: the relative error bound of
+    a ``k``-term dot product in arithmetic of unit roundoff ``u``."""
+    return k * u / (1.0 - k * u)
+
+
+def _screen_norms(g: BlockDesign) -> Optional[np.ndarray]:
+    """Per-location ``||G_s||_Fro`` of a design whose full checks are
+    screened in float32, or None for a design scored in float64 alone.
+
+    A design within one ``_SCORE_CHUNK`` is scored in float64; so is one
+    whose float32 products could overflow. The norms are computed once
+    per design, on its first screened check, and kept on it read-only.
+    """
+    if g.n_locations <= _SCORE_CHUNK:
+        return None
+    if "_frobenius" not in g.__dict__:
+        sq = np.einsum("ij,ij->j", g.entries, g.entries)
+        frob = np.sqrt(sq.reshape(g.n_locations, g.n_orient).sum(axis=1))
+        frob.setflags(write=False)
+        object.__setattr__(g, "_frobenius", frob)
+    # every partial sum of G^T R, with R scaled to entries of at most 1,
+    # then stays below n * max |G| <= n * max ||G_s||_Fro
+    return g._frobenius if g._frobenius.max() * g.n_sensors < 2.0 ** 100 \
+        else None
+
+
+class _Screen:
+    """Scores ``||G_s^T R||_Fro`` of every location, screened in float32.
+
+    ``approx[s]`` is within ``err[s]`` of the float64 score, and equal to
+    it where ``err[s]`` is 0. The rows of ``G^T`` are converted to
+    float32 half a ``_SCORE_CHUNK`` at a time, and ``R`` scaled by a
+    power of two, so no float32 copy of the design stays resident.
+
+    By Higham's dot-product bound (Accuracy and Stability of Numerical
+    Algorithms, section 3.1), with ``n`` sensors and ``O * T`` entries
+    per location, ``err[s] = delta * ||G_s||_Fro * ||R||_Fro + alpha_s``:
+    ``delta`` covers the float32 product with its two conversions and
+    the float64 product and norms it is compared with; ``alpha_s``
+    covers float32 underflow, even where subnormals are flushed to zero.
+    """
+
+    def __init__(self, gt: np.ndarray, r: np.ndarray, n_orient: int,
+                 frob: np.ndarray):
+        self.gt, self.r, self.n_orient = gt, r, n_orient
+        n, t = r.shape
+        self.approx = np.zeros(frob.size)
+        self.err = np.zeros(frob.size)
+        r_max = float(np.abs(r).max(initial=0.0))
+        if r_max == 0.0:
+            return
+        # a power of two: the scaled entries lie in [0.5, 1) in magnitude
+        scale = 2.0 ** -np.frexp(r_max)[1]
+        r32 = (r * scale).astype(np.float32)
+        # half a chunk per product: its float32 rows, float32 product and
+        # float64 copy then take no more memory than a float64 chunk
+        rows = max(1, _SCORE_CHUNK // 2) * n_orient
+        for start in range(0, gt.shape[0], rows):
+            q = gt[start:start + rows].astype(np.float32) @ r32
+            self.approx[start // n_orient:(start + rows) // n_orient] = \
+                _location_norms(q.astype(float), n_orient)
+        self.approx /= scale
+        delta = _gamma(n + 2, _U32) + _gamma(n + 2 * n_orient * t + 8, _U64)
+        alpha = 8.0 * _TINY32 * n * np.sqrt(n_orient * t) / scale
+        self.err = delta * frob * float(np.sqrt((r * r).sum())) \
+            + alpha * (1.0 + frob)
+
+    def exact(self, upper: np.ndarray, floor: float) -> np.ndarray:
+        """Float64 scores of the locations whose ``upper`` reaches
+        ``floor``, and ``-inf`` elsewhere.
+
+        ``upper[s]`` must be a key increasing in the score, taken at the
+        upper end ``approx + err`` of its interval, so every location left
+        out has a float64 key below ``floor``. Each location is rescored
+        at most once, with its own float64 product: a BLAS may round a row
+        differently with other rows beside it, and this product is the one
+        :func:`_scores` forms with one location per chunk.
+        """
+        need = upper >= floor
+        o = self.n_orient
+        for s in np.flatnonzero(need & (self.err > 0)):
+            self.approx[s] = _scores(self.gt[s * o:(s + 1) * o], self.r, o)[0]
+            self.err[s] = 0.0
+        return np.where(need, self.approx, -np.inf)
+
+
 def _scaled_dual(r: np.ndarray, gt: np.ndarray, lam_vec: np.ndarray,
-                 n_orient: int) -> Tuple[np.ndarray, np.ndarray]:
+                 n_orient: int, frob: Optional[np.ndarray] = None,
+                 ) -> Tuple[np.ndarray, Union[np.ndarray, _Screen]]:
     """Feasible dual point of a residual and the scores ``||G_s^T R||_Fro``.
 
     ``gt`` holds the rows of ``G^T`` of the locations ``lam_vec`` covers.
-    The point is ``Y = R / max(max_s ||G_s^T R||_Fro / lam_s, 1)``.
+    The point is ``Y = R / max(max_s ||G_s^T R||_Fro / lam_s, 1)``. With
+    ``frob`` (:func:`_screen_norms`) the scores are a :class:`_Screen`;
+    every location left out of its float64 rescoring has an upper ratio
+    below the largest lower ratio or 1, so the point is the float64 one.
     """
-    norms = _scores(gt, r, n_orient)
-    return r / float((norms / lam_vec).max(initial=1.0)), norms
+    if frob is None:
+        norms = _scores(gt, r, n_orient)
+        ratios = norms / lam_vec
+    else:
+        norms = _Screen(gt, r, n_orient, frob)
+        lower = (norms.approx - norms.err) / lam_vec
+        ratios = norms.exact((norms.approx + norms.err) / lam_vec,
+                             lower.max(initial=1.0)) / lam_vec
+    return r / float(ratios.max(initial=1.0)), norms
 
 
 def _gap(m: Measurements, r: np.ndarray, coef: np.ndarray,
          coef_lam: np.ndarray, gt: np.ndarray, lam_vec: np.ndarray,
-         n_orient: int) -> Tuple[GapReport, np.ndarray]:
+         n_orient: int, frob: Optional[np.ndarray] = None,
+         ) -> Tuple[GapReport, Union[np.ndarray, _Screen]]:
     """Duality gap of the packed ``X_C`` (penalty ``coef_lam``) with
     residual ``R = M - G_C X_C``, and the scores ``||G_s^T R||_Fro``.
 
     ``gt`` holds the rows of ``G^T`` of the locations the problem ranges
     over (all of them, or a restricted problem's candidates ``C``) and
-    ``lam_vec`` their penalty. The scores are the violation scores.
+    ``lam_vec`` their penalty. The scores are the violation scores. Only
+    the driver's full check passes ``frob``: its scores are then screened
+    in float32 (:func:`_scaled_dual`), and its report is, bit for bit,
+    the one its float64 scores give. Restricted gaps, :func:`duality_gap`,
+    :func:`dual_map` and :func:`lambda_max` stay in float64 alone.
     """
-    y, norms = _scaled_dual(r, gt, lam_vec, n_orient)
+    y, norms = _scaled_dual(r, gt, lam_vec, n_orient, frob)
     primal = _primal(r, coef, coef_lam, n_orient)
     dual = dual_objective(m, y)
     return GapReport(primal=primal, dual=dual, gap=primal - dual), norms
@@ -438,10 +550,21 @@ def solve_bcd(
     return _unpack(x, cand, n_loc, n_orient), trace
 
 
-def _top_violators(norms: np.ndarray, lam_vec: np.ndarray,
+def _top_violators(norms: Union[np.ndarray, _Screen], lam_vec: np.ndarray,
                    blocked: np.ndarray, batch: int) -> np.ndarray:
     """At most ``batch`` unblocked locations with the largest positive
-    violation ``||G_s^T R||_Fro - lam_s``, ties toward the lower index."""
+    violation ``||G_s^T R||_Fro - lam_s``, ties toward the lower index.
+
+    Screened scores are rescored in float64 wherever the upper violation
+    reaches ``max(0, batch-th largest lower violation)`` among unblocked
+    locations; every other location falls strictly below every pick, so
+    the picks and their order are the float64 ones."""
+    if isinstance(norms, _Screen):
+        lower = np.where(blocked, -np.inf, norms.approx - norms.err - lam_vec)
+        upper = np.where(blocked, -np.inf, norms.approx + norms.err - lam_vec)
+        kth = (np.partition(lower, -batch)[-batch] if batch <= lower.size
+               else -np.inf)
+        norms = norms.exact(upper, max(kth, 0.0))
     excess = norms - lam_vec
     # the stable sort keeps the order of the others past a blocked -inf
     excess[blocked] = -np.inf
@@ -482,6 +605,13 @@ def solve_active_set(
       ``_ROUNDOFF_ULPS`` (4) ulps of the primal, where roundoff hides any
       smaller gap at large data scales; a loose restricted solve never
       ends the loop.
+    - Scoring: on a design of more than ``_SCORE_CHUNK`` (1024)
+      locations, each full check scores the locations in float32 under
+      a rigorous error bound and rescores in float64 those that can set
+      the dual scale or enter the batch (:class:`_Screen`). The gap, the
+      picks and their order are the float64 ones; the norms
+      ``||G_s||_Fro`` this needs are computed once per design, on its
+      first full check.
 
     The candidate set only grows within one call; all-zero design blocks
     are excluded from candidacy with a warning. Determinism: sweeps run in
@@ -538,11 +668,12 @@ def solve_active_set(
     in_set = np.zeros(n_loc, dtype=bool)
     in_set[list(est.active_set)] = True
     outer_cap = n_loc // _FIRST_BATCH + 10
+    frob = _screen_norms(g)
     try:
         for outer in range(outer_cap + 1):
             report, norms = _gap(m, residual(m, g, est), est.coef,
                                  lam_vec[list(est.active_set)], g.entries.T,
-                                 lam_vec, n_orient)
+                                 lam_vec, n_orient, frob)
             trace.add(report.gap, est.n_active, report.primal)
             if _certified(report, config.gap_tol):
                 return _change_time_basis(est, vt), trace

@@ -222,6 +222,37 @@ def test_irmxne_single_iteration_equals_mxne():
         assert np.array_equal(b1, b2)
 
 
+def test_first_solve_stops_at_loose_tolerance(monkeypatch):
+    # iteration 1 of several stops at 1e-6 of 0.5 * ||M||^2; a single
+    # iteration keeps gap_tol and so stays the exact MxNE estimate
+    rng = np.random.default_rng(16)
+    m, g, _ = make_instance(rng, noise=0.3)
+    lam = 0.3 * lambda_max(m, g)
+    calls = []
+    inner = irmxne.solve_active_set
+
+    def recording(m, g, warm, lam, config, **kwargs):
+        est, trace = inner(m, g, warm, lam, config, **kwargs)
+        calls.append((config.gap_tol, trace.final.gap))
+        return est, trace
+
+    monkeypatch.setattr(irmxne, "solve_active_set", recording)
+    config = SolverConfig()
+    loose = irmxne._FIRST_SOLVE_RTOL * 0.5 * float((m.entries ** 2).sum())
+    _, state, _ = solve_irmxne(m, g, lam, config)
+    (tol, gap), = calls
+    assert state.iteration > 2
+    assert tol == loose == state.first_gap_tol
+    # certified at the loose tolerance, short of the tight one
+    assert config.gap_tol < gap < loose
+
+    calls.clear()
+    _, state, _ = solve_irmxne(m, g, lam, SolverConfig(max_reweight=1))
+    (tol, gap), = calls
+    assert tol == config.gap_tol == state.first_gap_tol
+    assert gap < config.gap_tol
+
+
 def test_irmxne_first_weights_are_ones():
     rng = np.random.default_rng(5)
     m, g, _ = make_instance(rng, noise=0.2)
@@ -386,6 +417,10 @@ def test_reweight_state_json(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["iteration"] == state.iteration
     assert payload["converged"] == state.converged
+    # the tolerance iteration 1 stopped at: the loose one, as several ran
+    assert payload["first_gap_tol"] == state.first_gap_tol
+    assert payload["first_gap_tol"] == pytest.approx(
+        irmxne._FIRST_SOLVE_RTOL * 0.5 * (m.entries ** 2).sum(), rel=1e-15)
     assert len(payload["weights"]) == len(state.weights)
     assert payload["objective_trace"] == pytest.approx(state.objective_trace)
 

@@ -522,6 +522,93 @@ def test_top_violators_matches_the_selection_loop():
         assert got.tolist() == expected
 
 
+def _screened_instance(c):
+    """Data, design and estimate, with M and G scaled by ``c``. Location 9
+    repeats location 4 (an exact tie), location 12 is location 7 times
+    ``1 + 2^-30`` (apart in float64, within float32's error) and location
+    20 lies far below float32's normal range."""
+    rng = np.random.default_rng(43)
+    n, n_loc, o, t = 20, 40, 3, 10
+    gm = rng.standard_normal((n, n_loc * o))
+    gm[:, 27:30] = gm[:, 12:15]
+    gm[:, 36:39] = gm[:, 21:24] * (1 + 2.0 ** -30)
+    gm[:, 60:63] *= 1e-40
+    est = BlockSparseEstimate.from_blocks(
+        [(2, rng.standard_normal((o, t)))], n_loc, o, t)
+    # the residual leans on locations 4 and 9, 7 and 12, 1 and 13
+    r = (gm[:, [12, 22, 5, 40]] @ rng.standard_normal((4, t))
+         + 0.3 * rng.standard_normal((n, t)))
+    data = r + gm @ densify(est)
+    return (Measurements(c * data), BlockDesign(c * gm, n_loc, o), est)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_float32_screen_matches_float64(monkeypatch, c):
+    m, g, est = _screened_instance(c)
+    r, gt, o = residual(m, g, est), g.entries.T, g.n_orient
+    # every float64 score lies in its float32 interval
+    for chunk in (8, 1):
+        monkeypatch.setattr(bsmx.mxne, "_SCORE_CHUNK", chunk)
+        frob = bsmx.mxne._screen_norms(g)
+        assert frob is not None
+        exact = bsmx.mxne._scores(gt, r, o)
+        screen = bsmx.mxne._Screen(gt, r, o, frob)
+        assert np.all(np.abs(screen.approx - exact) <= screen.err)
+    assert exact[9] == exact[4] and exact[12] > exact[7]
+
+    # with one location per chunk, the float64 path forms each location's
+    # product as the screen rescores it, so the screen's dual scale, gap
+    # and picks must be the float64 ones bit for bit
+    order = np.argsort(-exact, kind="stable")
+    # location 20 sets the dual scale, with location 3 just below it
+    lam_20 = np.full(g.n_locations, 0.25 * exact.max())
+    lam_20[20] = exact[20] / 8
+    lam_20[3] = exact[3] / (8 * (1 - 1e-6))
+    lams = [
+        np.full(g.n_locations, exact[order[0]]),  # the top one at lam
+        np.full(g.n_locations, exact[order[6]]),  # six violators
+        lam_20,
+    ]
+    for lam_vec in lams:
+        args = (m, r, est.coef, lam_vec[list(est.active_set)], gt, lam_vec, o)
+        report, plain = bsmx.mxne._gap(*args)
+        assert bsmx.mxne._gap(*args, frob)[0] == report
+        assert np.array_equal(
+            bsmx.mxne._scaled_dual(r, gt, lam_vec, o, frob)[0],
+            bsmx.mxne._scaled_dual(r, gt, lam_vec, o)[0])
+        left_out = 0
+        for batch in range(1, g.n_locations + 2):
+            for blocked in (np.zeros(g.n_locations, dtype=bool),
+                            np.arange(g.n_locations) % 3 == 1):
+                _, screened = bsmx.mxne._gap(*args, frob)
+                picks = _top_violators(screened, lam_vec, blocked, batch)
+                assert picks.tolist() == _top_violators(
+                    plain, lam_vec, blocked, batch).tolist()
+                left_out += int((screened.err > 0).sum())
+        # the screen kept some locations to their float32 intervals
+        assert left_out > 0
+
+    # the driver's every row and its estimate are the float64 ones; from
+    # c = 1e4 on, coordinate descent stalls on the near tie far above the
+    # roundoff floor, screened or not, so both runs stop at the sweep cap
+    def driver():
+        trace = ConvergenceTrace()
+        try:
+            est_out, _ = solve_active_set(m, g, None, 0.3 * lambda_max(m, g),
+                                          SolverConfig(max_bcd_iter=200),
+                                          trace=trace)
+        except IterationLimitError as exc:
+            est_out = exc.estimate
+        return [(row.gap, row.primal) for row in trace.rows], est_out
+
+    rows_s, est_s = driver()
+    monkeypatch.setattr(bsmx.mxne, "_screen_norms", lambda g: None)
+    rows_p, est_p = driver()
+    assert rows_s == rows_p
+    assert est_s.active_set == est_p.active_set
+    assert np.array_equal(est_s.coef, est_p.coef)
+
+
 @pytest.mark.parametrize("inner", ["bcd", "pgd"])
 def test_candidates_any_iterable_duplicates_and_order_ignored(inner):
     rng = np.random.default_rng(31)

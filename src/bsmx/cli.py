@@ -420,7 +420,8 @@ def _run_benchmark_method(name, m, design, lam, config):
     elif name == "pgd_as":
         est, _ = solve_active_set(m, design, None, lam, config, inner="pgd")
     else:
-        est = solve_proximal_gradient(m, design, lam, config.gap_tol)
+        est = solve_proximal_gradient(m, design, lam, config.gap_tol,
+                                      max_iter=config.max_bcd_iter)
     seconds = time.perf_counter() - t0
     final_gap = duality_gap(m, design, est, lam).gap
     return seconds, final_gap

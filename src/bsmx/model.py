@@ -262,9 +262,10 @@ class SolverConfig:
     Parameters
     ----------
     gap_tol : float
-        Duality-gap threshold declaring a convex solve optimal. A gap
-        within 4 ulps of the primal, its roundoff, also certifies. The
-        first of several irMxNE iterations stops at the looser
+        Duality-gap threshold declaring a convex solve optimal, positive
+        and finite as ``reweight_tol`` is. A gap within 4 ulps of the
+        primal, its roundoff, also certifies. The first of several irMxNE
+        iterations stops at the looser
         ``max(gap_tol, 1e-6 * 0.5 * ||M||_Fro^2)``.
     reweight_tol : float
         Entrywise max-abs change between consecutive reweighted estimates
@@ -273,7 +274,7 @@ class SolverConfig:
         Cap on reweighting iterations. Exhausting it is not an error; the
         last iterate is returned with ``converged=False``.
     max_bcd_iter : int
-        Safety cap on inner coordinate-descent sweeps per subproblem.
+        Safety cap on inner sweeps or iterations per subproblem.
     """
 
     gap_tol: float = 1e-6
@@ -282,10 +283,10 @@ class SolverConfig:
     max_bcd_iter: int = 100_000
 
     def __post_init__(self):
-        if not self.gap_tol > 0:
-            raise ValueError("gap_tol must be positive")
-        if not self.reweight_tol > 0:
-            raise ValueError("reweight_tol must be positive")
+        if not 0 < self.gap_tol < np.inf:
+            raise ValueError("gap_tol must be positive and finite")
+        if not 0 < self.reweight_tol < np.inf:
+            raise ValueError("reweight_tol must be positive and finite")
         if self.max_reweight < 1:
             raise ValueError("max_reweight must be at least 1")
         if self.max_bcd_iter < 1:

@@ -149,12 +149,12 @@ def _check_inputs(m: Measurements, g: BlockDesign, lam, est=None,
                   gap_tol=None, candidates=None) -> Tuple[np.ndarray, np.ndarray]:
     """Check that data, design and estimate are paired, that ``lam`` is a
     positive finite scalar or per-location vector and that ``gap_tol`` (if
-    given) is positive. Returns the per-location ``lam`` vector and the
+    given) is positive and finite. Returns the per-location ``lam`` vector and the
     candidates, any iterable of location indices (all of them by default),
     as one sorted int array: duplicates and order are ignored."""
     _check_paired(m, g, est)
-    if gap_tol is not None and not gap_tol > 0:
-        raise ValueError("gap_tol must be positive")
+    if gap_tol is not None and not 0 < gap_tol < np.inf:
+        raise ValueError("gap_tol must be positive and finite")
     n_loc = g.n_locations
     lam_vec = np.asarray(lam, dtype=float)
     if lam_vec.ndim == 0:
@@ -178,14 +178,17 @@ def _primal(r: np.ndarray, coef: np.ndarray, lam_vec: np.ndarray,
     return 0.5 * float((r * r).sum()) + pen
 
 
-def _scores(gt: np.ndarray, r: np.ndarray, n_orient: int) -> np.ndarray:
+def _scores(gt: np.ndarray, r: np.ndarray, n_orient: int,
+            chunk: Optional[int] = None) -> np.ndarray:
     """Scores ``||G_s^T R||_Fro`` of the locations whose rows of ``G^T``
-    ``gt`` holds, from one product per ``_SCORE_CHUNK`` locations."""
-    rows = _SCORE_CHUNK * n_orient
+    ``gt`` holds, one product per ``chunk`` (``_SCORE_CHUNK``) locations in
+    the dtype of ``r``; a float64 ``r`` copies nothing."""
+    rows = (chunk or _SCORE_CHUNK) * n_orient
     norms = np.empty(gt.shape[0] // n_orient)
     for start in range(0, gt.shape[0], rows):
+        q = gt[start:start + rows].astype(r.dtype, copy=False) @ r
         norms[start // n_orient:(start + rows) // n_orient] = _location_norms(
-            gt[start:start + rows] @ r, n_orient)
+            q.astype(float, copy=False), n_orient)
     return norms
 
 
@@ -195,49 +198,42 @@ def _gamma(k: int, u: float) -> float:
     return k * u / (1.0 - k * u)
 
 
-def _screen_norms(g: BlockDesign) -> Optional[np.ndarray]:
-    """Per-location ``||G_s||_Fro`` of a design whose full checks are
-    screened in float32, or None for a design scored in float64 alone.
-
-    A design within one ``_SCORE_CHUNK`` is scored in float64; so is one
-    whose float32 products could overflow. The norms are computed once
-    per design, on its first screened check, and kept on it read-only.
-    """
+def _screen_norms(g: BlockDesign, lips: np.ndarray) -> Optional[np.ndarray]:
+    """Upper bounds ``sqrt(n_orient * L_s)`` on ``||G_s||_Fro`` from the
+    block constants ``lips`` (``||G_s||_Fro^2`` sums at most ``n_orient``
+    squared singular values, each at most ``L_s``), or None for a design
+    scored in float64 alone: one within one ``_SCORE_CHUNK``, or one
+    whose float32 products could overflow."""
     if g.n_locations <= _SCORE_CHUNK:
         return None
-    if "_frobenius" not in g.__dict__:
-        sq = np.einsum("ij,ij->j", g.entries, g.entries)
-        frob = np.sqrt(sq.reshape(g.n_locations, g.n_orient).sum(axis=1))
-        frob.setflags(write=False)
-        object.__setattr__(g, "_frobenius", frob)
+    bound = np.sqrt(g.n_orient * lips)
     # every partial sum of G^T R, with R scaled to entries of at most 1,
-    # then stays below n * max |G| <= n * max ||G_s||_Fro
-    return g._frobenius if g._frobenius.max() * g.n_sensors < 2.0 ** 100 \
-        else None
+    # then stays below n * max |G| <= n * max ||G_s||_Fro <= n * max bound
+    return bound if bound.max() * g.n_sensors < 2.0 ** 100 else None
 
 
 class _Screen:
     """Scores ``||G_s^T R||_Fro`` of every location, screened in float32.
 
     ``approx[s]`` is within ``err[s]`` of the float64 score, and equal to
-    it where ``err[s]`` is 0. The rows of ``G^T`` are converted to
-    float32 half a ``_SCORE_CHUNK`` at a time, and ``R`` scaled by a
+    it where ``err[s]`` is 0. :func:`_scores` converts the rows of ``G^T``
+    to float32 half a ``_SCORE_CHUNK`` at a time, and ``R`` is scaled by a
     power of two, so no float32 copy of the design stays resident.
 
     By Higham's dot-product bound (Accuracy and Stability of Numerical
     Algorithms, section 3.1), with ``n`` sensors and ``O * T`` entries
-    per location, ``err[s] = delta * ||G_s||_Fro * ||R||_Fro + alpha_s``:
-    ``delta`` covers the float32 product with its two conversions and
-    the float64 product and norms it is compared with; ``alpha_s``
-    covers float32 underflow, even where subnormals are flushed to zero.
+    per location, ``err[s] = delta * b_s * ||R||_Fro + alpha_s`` with
+    ``b_s >= ||G_s||_Fro`` (:func:`_screen_norms`): ``delta`` covers the
+    float32 product with its two conversions and the float64 product and
+    norms it is compared with; ``alpha_s`` covers float32 underflow, even
+    where subnormals are flushed to zero.
     """
 
     def __init__(self, gt: np.ndarray, r: np.ndarray, n_orient: int,
-                 frob: np.ndarray):
+                 bound: np.ndarray):
         self.gt, self.r, self.n_orient = gt, r, n_orient
         n, t = r.shape
-        self.approx = np.zeros(frob.size)
-        self.err = np.zeros(frob.size)
+        self.approx, self.err = np.zeros(bound.size), np.zeros(bound.size)
         r_max = float(np.abs(r).max(initial=0.0))
         if r_max == 0.0:
             return
@@ -246,16 +242,12 @@ class _Screen:
         r32 = (r * scale).astype(np.float32)
         # half a chunk per product: its float32 rows, float32 product and
         # float64 copy then take no more memory than a float64 chunk
-        rows = max(1, _SCORE_CHUNK // 2) * n_orient
-        for start in range(0, gt.shape[0], rows):
-            q = gt[start:start + rows].astype(np.float32) @ r32
-            self.approx[start // n_orient:(start + rows) // n_orient] = \
-                _location_norms(q.astype(float), n_orient)
-        self.approx /= scale
+        self.approx = _scores(gt, r32, n_orient,
+                              max(1, _SCORE_CHUNK // 2)) / scale
         delta = _gamma(n + 2, _U32) + _gamma(n + 2 * n_orient * t + 8, _U64)
         alpha = 8.0 * _TINY32 * n * np.sqrt(n_orient * t) / scale
-        self.err = delta * frob * float(np.sqrt((r * r).sum())) \
-            + alpha * (1.0 + frob)
+        self.err = delta * bound * float(np.sqrt((r * r).sum())) \
+            + alpha * (1.0 + bound)
 
     def exact(self, upper: np.ndarray, floor: float) -> np.ndarray:
         """Float64 scores of the locations whose ``upper`` reaches
@@ -277,21 +269,21 @@ class _Screen:
 
 
 def _scaled_dual(r: np.ndarray, gt: np.ndarray, lam_vec: np.ndarray,
-                 n_orient: int, frob: Optional[np.ndarray] = None,
+                 n_orient: int, bound: Optional[np.ndarray] = None,
                  ) -> Tuple[np.ndarray, Union[np.ndarray, _Screen]]:
     """Feasible dual point of a residual and the scores ``||G_s^T R||_Fro``.
 
     ``gt`` holds the rows of ``G^T`` of the locations ``lam_vec`` covers.
     The point is ``Y = R / max(max_s ||G_s^T R||_Fro / lam_s, 1)``. With
-    ``frob`` (:func:`_screen_norms`) the scores are a :class:`_Screen`;
+    ``bound`` (:func:`_screen_norms`) the scores are a :class:`_Screen`;
     every location left out of its float64 rescoring has an upper ratio
     below the largest lower ratio or 1, so the point is the float64 one.
     """
-    if frob is None:
+    if bound is None:
         norms = _scores(gt, r, n_orient)
         ratios = norms / lam_vec
     else:
-        norms = _Screen(gt, r, n_orient, frob)
+        norms = _Screen(gt, r, n_orient, bound)
         lower = (norms.approx - norms.err) / lam_vec
         ratios = norms.exact((norms.approx + norms.err) / lam_vec,
                              lower.max(initial=1.0)) / lam_vec
@@ -300,7 +292,7 @@ def _scaled_dual(r: np.ndarray, gt: np.ndarray, lam_vec: np.ndarray,
 
 def _gap(m: Measurements, r: np.ndarray, coef: np.ndarray,
          coef_lam: np.ndarray, gt: np.ndarray, lam_vec: np.ndarray,
-         n_orient: int, frob: Optional[np.ndarray] = None,
+         n_orient: int, bound: Optional[np.ndarray] = None,
          ) -> Tuple[GapReport, Union[np.ndarray, _Screen]]:
     """Duality gap of the packed ``X_C`` (penalty ``coef_lam``) with
     residual ``R = M - G_C X_C``, and the scores ``||G_s^T R||_Fro``.
@@ -308,15 +300,25 @@ def _gap(m: Measurements, r: np.ndarray, coef: np.ndarray,
     ``gt`` holds the rows of ``G^T`` of the locations the problem ranges
     over (all of them, or a restricted problem's candidates ``C``) and
     ``lam_vec`` their penalty. The scores are the violation scores. Only
-    the driver's full check passes ``frob``: its scores are then screened
+    the driver's full check passes ``bound``: its scores are then screened
     in float32 (:func:`_scaled_dual`), and its report is, bit for bit,
     the one its float64 scores give. Restricted gaps, :func:`duality_gap`,
     :func:`dual_map` and :func:`lambda_max` stay in float64 alone.
     """
-    y, norms = _scaled_dual(r, gt, lam_vec, n_orient, frob)
+    y, norms = _scaled_dual(r, gt, lam_vec, n_orient, bound)
     primal = _primal(r, coef, coef_lam, n_orient)
     dual = dual_objective(m, y)
     return GapReport(primal=primal, dual=dual, gap=primal - dual), norms
+
+
+def _full_gap(m: Measurements, g: BlockDesign, est: BlockSparseEstimate,
+              lam_vec: np.ndarray, bound: Optional[np.ndarray] = None,
+              ) -> Tuple[GapReport, Union[np.ndarray, _Screen]]:
+    """:func:`_gap` of ``est`` on the full problem, the check of
+    :func:`duality_gap` and of the working-set driver."""
+    return _gap(m, residual(m, g, est), est.coef,
+                lam_vec[list(est.active_set)], g.entries.T, lam_vec,
+                g.n_orient, bound)
 
 
 def _certified(report: GapReport, gap_tol: float) -> bool:
@@ -372,9 +374,7 @@ def duality_gap(m: Measurements, g: BlockDesign, est: BlockSparseEstimate,
     bound on the primal suboptimality of ``est``.
     """
     lam_vec, _ = _check_inputs(m, g, lam, est)
-    return _gap(m, residual(m, g, est), est.coef,
-                lam_vec[list(est.active_set)], g.entries.T, lam_vec,
-                g.n_orient)[0]
+    return _full_gap(m, g, est, lam_vec)[0]
 
 
 def lambda_max(m: Measurements, g: BlockDesign) -> float:
@@ -609,9 +609,8 @@ def solve_active_set(
       locations, each full check scores the locations in float32 under
       a rigorous error bound and rescores in float64 those that can set
       the dual scale or enter the batch (:class:`_Screen`). The gap, the
-      picks and their order are the float64 ones; the norms
-      ``||G_s||_Fro`` this needs are computed once per design, on its
-      first full check.
+      picks and their order are the float64 ones. Its error bound reads
+      ``||G_s||_Fro <= sqrt(n_orient * L_s)`` off the block constants.
 
     The candidate set only grows within one call; all-zero design blocks
     are excluded from candidacy with a warning. Determinism: sweeps run in
@@ -647,7 +646,8 @@ def solve_active_set(
         warm = _change_time_basis(warm, vt.T)
     n_loc, n_orient, n_times = g.n_locations, g.n_orient, m.n_times
 
-    valid = block_lipschitz_all(g) > 0
+    lips = block_lipschitz_all(g)
+    valid = lips > 0
     if not valid.all():
         warnings.warn(
             f"excluding {int((~valid).sum())} all-zero design blocks from "
@@ -668,12 +668,10 @@ def solve_active_set(
     in_set = np.zeros(n_loc, dtype=bool)
     in_set[list(est.active_set)] = True
     outer_cap = n_loc // _FIRST_BATCH + 10
-    frob = _screen_norms(g)
+    bound = _screen_norms(g, lips)
     try:
         for outer in range(outer_cap + 1):
-            report, norms = _gap(m, residual(m, g, est), est.coef,
-                                 lam_vec[list(est.active_set)], g.entries.T,
-                                 lam_vec, n_orient, frob)
+            report, norms = _full_gap(m, g, est, lam_vec, bound)
             trace.add(report.gap, est.n_active, report.primal)
             if _certified(report, config.gap_tol):
                 return _change_time_basis(est, vt), trace
@@ -702,8 +700,8 @@ def solve_active_set(
                 from .oracle import solve_proximal_gradient
 
                 est = solve_proximal_gradient(
-                    m, g, lam_vec, inner_tol,
-                    candidates=cand, init=est,
+                    m, g, lam_vec, inner_tol, candidates=cand, init=est,
+                    max_iter=config.max_bcd_iter,
                 )
     except IterationLimitError as exc:
         exc.estimate = _change_time_basis(exc.estimate, vt)

@@ -442,6 +442,18 @@ def test_bad_problem_option_exits_2_before_reading(problem_files, tmp_path,
     (["benchmark", "--seed", "0", "--methods", "bcd_as,pgd_as",
       "--methods", "pgd_as"], "random_instance",
      "--methods gives 'pgd_as' twice"),
+    (["solve", "--lambda-pct", "40", "--gap-tol", "inf"], "read_matrix",
+     "gap_tol must be positive and finite"),
+    (["solve", "--lambda-pct", "40", "--method", "irmxne", "--reweight-tol",
+      "inf"], "read_matrix", "reweight_tol must be positive and finite"),
+    (["simulate", "--seed", "0", "--gap-tol", "inf"], "generate_scenario",
+     "gap_tol must be positive and finite"),
+    (["simulate", "--seed", "0", "--method", "irmxne", "--reweight-tol",
+      "nan"], "generate_scenario", "reweight_tol must be positive and finite"),
+    (["benchmark", "--seed", "0", "--gap-tol", "nan"], "random_instance",
+     "gap_tol must be positive and finite"),
+    (["benchmark", "--seed", "0", "--reweight-tol", "inf"], "random_instance",
+     "reweight_tol must be positive and finite"),
 ])
 def test_bad_option_exits_2_before_any_work(problem_files, tmp_path,
                                             monkeypatch, caplog, argv,
@@ -686,24 +698,57 @@ def test_check_depth_rejects_estimate_over_other_locations(tmp_path, caplog):
     assert "covers 12 locations, design has 8" in caplog.text
 
 
-def test_benchmark_honours_max_bcd_iter(tmp_path, monkeypatch):
-    caps = []
-    solve = cli.solve_active_set
+def _record_inner_caps(monkeypatch):
+    """Record the ``max_bcd_iter`` of every ``solve_active_set`` call and
+    the ``max_iter`` of every inner solve the benchmark methods run."""
+    configs, caps = [], []
 
-    def recording(m, g, warm, lam, config, **kwargs):
-        caps.append(config.max_bcd_iter)
-        return solve(m, g, warm, lam, config, **kwargs)
+    def recording(owner, name, cap_of):
+        wrapped = getattr(owner, name)
 
-    monkeypatch.setattr(cli, "solve_active_set", recording)
+        def call(*args, **kwargs):
+            (configs if name == "solve_active_set" else caps).append(
+                cap_of(args, kwargs))
+            return wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    recording(cli, "solve_active_set", lambda a, k: a[4].max_bcd_iter)
+    for owner in (cli, bsmx.mxne):
+        recording(owner, "solve_bcd", lambda a, k: k.get("max_iter"))
+    for owner in (cli, bsmx.oracle):
+        recording(owner, "solve_proximal_gradient",
+                  lambda a, k: k.get("max_iter"))
+    return configs, caps
+
+
+@pytest.mark.parametrize("method", cli.BENCH_METHODS)
+def test_benchmark_honours_max_bcd_iter(tmp_path, monkeypatch, method):
+    configs, caps = _record_inner_caps(monkeypatch)
     out = tmp_path / "bench"
     rc = main(["benchmark", "--seed", "5", "--n-sensors", "20",
                "--n-locations", "40", "--n-orient", "1", "--n-times", "5",
-               "--lambda-pct", "50", "--methods", "bcd_as",
+               "--lambda-pct", "50", "--methods", method,
                "--max-bcd-iter", "5000", "--out", str(out)])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["max_bcd_iter"] == 5000
-    assert caps == [5000]
+    assert configs == ([5000] if method.endswith("_as") else [])
+    # every inner solve, coordinate descent or proximal gradient, runs
+    # under the cap
+    assert caps and set(caps) == {5000}
+
+
+@pytest.mark.parametrize("method", cli.BENCH_METHODS)
+def test_benchmark_stops_every_method_at_max_bcd_iter(tmp_path, caplog,
+                                                      method):
+    out = tmp_path / "bench"
+    rc = main(["benchmark", "--seed", "5", "--n-sensors", "20",
+               "--n-locations", "40", "--n-orient", "1", "--n-times", "5",
+               "--lambda-pct", "50", "--methods", method,
+               "--max-bcd-iter", "1", "--out", str(out)])
+    assert rc == 3
+    assert "solver failed" in caplog.text
 
 
 @pytest.mark.parametrize("methods", ["bcd_as,pgd_sa", "pgd_sa,bcd_as"])

@@ -249,6 +249,13 @@ def test_solver_config_validation():
         SolverConfig(gap_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(reweight_tol=-1.0)
+    for tol in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="gap_tol must be positive and "
+                                             "finite"):
+            SolverConfig(gap_tol=tol)
+        with pytest.raises(ValueError, match="reweight_tol must be positive "
+                                             "and finite"):
+            SolverConfig(reweight_tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(max_reweight=0)
 

@@ -11,8 +11,14 @@ from bsmx.model import (
     BlockDesign,
     Measurements,
     SolverConfig,
+    _scale_blocks,
     densify,
     residual,
+)
+from bsmx.constraints import (
+    apply_depth_weights,
+    apply_loose_orientation,
+    undo_depth_weights,
 )
 from bsmx.mxne import (
     ConvergenceTrace,
@@ -549,10 +555,10 @@ def test_float32_screen_matches_float64(monkeypatch, c):
     # every float64 score lies in its float32 interval
     for chunk in (8, 1):
         monkeypatch.setattr(bsmx.mxne, "_SCORE_CHUNK", chunk)
-        frob = bsmx.mxne._screen_norms(g)
-        assert frob is not None
+        bound = bsmx.mxne._screen_norms(g, block_lipschitz_all(g))
+        assert bound is not None
         exact = bsmx.mxne._scores(gt, r, o)
-        screen = bsmx.mxne._Screen(gt, r, o, frob)
+        screen = bsmx.mxne._Screen(gt, r, o, bound)
         assert np.all(np.abs(screen.approx - exact) <= screen.err)
     assert exact[9] == exact[4] and exact[12] > exact[7]
 
@@ -572,15 +578,15 @@ def test_float32_screen_matches_float64(monkeypatch, c):
     for lam_vec in lams:
         args = (m, r, est.coef, lam_vec[list(est.active_set)], gt, lam_vec, o)
         report, plain = bsmx.mxne._gap(*args)
-        assert bsmx.mxne._gap(*args, frob)[0] == report
+        assert bsmx.mxne._gap(*args, bound)[0] == report
         assert np.array_equal(
-            bsmx.mxne._scaled_dual(r, gt, lam_vec, o, frob)[0],
+            bsmx.mxne._scaled_dual(r, gt, lam_vec, o, bound)[0],
             bsmx.mxne._scaled_dual(r, gt, lam_vec, o)[0])
         left_out = 0
         for batch in range(1, g.n_locations + 2):
             for blocked in (np.zeros(g.n_locations, dtype=bool),
                             np.arange(g.n_locations) % 3 == 1):
-                _, screened = bsmx.mxne._gap(*args, frob)
+                _, screened = bsmx.mxne._gap(*args, bound)
                 picks = _top_violators(screened, lam_vec, blocked, batch)
                 assert picks.tolist() == _top_violators(
                     plain, lam_vec, blocked, batch).tolist()
@@ -602,11 +608,115 @@ def test_float32_screen_matches_float64(monkeypatch, c):
         return [(row.gap, row.primal) for row in trace.rows], est_out
 
     rows_s, est_s = driver()
-    monkeypatch.setattr(bsmx.mxne, "_screen_norms", lambda g: None)
+    monkeypatch.setattr(bsmx.mxne, "_screen_norms", lambda g, lips: None)
     rows_p, est_p = driver()
     assert rows_s == rows_p
     assert est_s.active_set == est_p.active_set
     assert np.array_equal(est_s.coef, est_p.coef)
+
+
+def _block_frobenius(g):
+    """``||G_s||_Fro`` of every location, from the raw entries."""
+    blocks = g.entries.reshape(g.n_sensors, g.n_locations, g.n_orient)
+    return np.sqrt((blocks * blocks).sum(axis=(0, 2)))
+
+
+def test_screen_bound_covers_the_block_frobenius_norms(monkeypatch):
+    # sqrt(O * L_s) >= ||G_s||_Fro, with equality for one orientation
+    monkeypatch.setattr(bsmx.mxne, "_SCORE_CHUNK", 1)
+    rng = np.random.default_rng(47)
+    _, g, _ = make_instance(rng, n_locations=30)
+    _, g1, _ = make_instance(rng, n_locations=30, n_orient=1)
+    designs = {
+        "random": g,
+        "loose": apply_loose_orientation(g, 0.3),
+        "depth": apply_depth_weights(apply_loose_orientation(g, 0.6), 0.8)[0],
+        "one orientation": g1,
+    }
+    for name, design in designs.items():
+        bound = bsmx.mxne._screen_norms(design, block_lipschitz_all(design))
+        frob = _block_frobenius(design)
+        if design.n_orient == 1:
+            np.testing.assert_allclose(bound, frob, rtol=4e-16, atol=0,
+                                       err_msg=name)
+        else:
+            assert np.all(bound >= frob), name
+            assert np.all(bound <= np.sqrt(design.n_orient) * frob), name
+
+
+def test_screened_solve_sets_no_design_attribute(monkeypatch):
+    # the full checks screen in float32, and the design gains only the
+    # block constants every solve reads
+    monkeypatch.setattr(bsmx.mxne, "_SCORE_CHUNK", 8)
+    screens = []
+    init = bsmx.mxne._Screen.__init__
+
+    def counted(self, *args):
+        screens.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(bsmx.mxne._Screen, "__init__", counted)
+    rng = np.random.default_rng(53)
+    m, g, _ = make_instance(rng, n_locations=40)
+    before = set(vars(g))
+    solve_active_set(m, g, None, 0.3 * lambda_max(m, g), SolverConfig())
+    assert screens
+    assert set(vars(g)) - before == {"_lipschitz"}
+
+
+@pytest.mark.parametrize("n_times", [10, 30])
+def test_empty_warm_start_is_no_warm_start(n_times):
+    # an empty, non-None warm start marks no location; n_times = 30 runs
+    # the compressed solve of a long epoch over 20 sensors
+    rng = np.random.default_rng(59)
+    m, g, _ = make_instance(rng, n_times=n_times)
+    lam = 0.3 * lambda_max(m, g)
+    runs = []
+    for warm in (None, BlockSparseEstimate.empty(g.n_locations, g.n_orient,
+                                                 n_times)):
+        est, trace = solve_active_set(m, g, warm, lam, SolverConfig())
+        runs.append((est, [(r.gap, r.active_size, r.primal)
+                           for r in trace.rows]))
+    (est_n, rows_n), (est_e, rows_e) = runs
+    assert est_n.n_active and rows_e == rows_n
+    assert est_e.active_set == est_n.active_set
+    assert est_e.coef.tobytes() == est_n.coef.tobytes()
+
+
+def test_solve_bcd_empty_init_is_no_init():
+    rng = np.random.default_rng(61)
+    m, g, _ = make_instance(rng)
+    lam = 0.3 * lambda_max(m, g)
+    cand = [1, 4, 9, 16, 25]
+    empty = BlockSparseEstimate.empty(g.n_locations, g.n_orient, m.n_times)
+    ref, trace_ref = solve_bcd(m, g, None, lam, 1e-8, candidates=cand)
+    est, trace = solve_bcd(m, g, empty, lam, 1e-8, candidates=cand)
+    assert [(r.gap, r.primal) for r in trace.rows] == [
+        (r.gap, r.primal) for r in trace_ref.rows]
+    assert est.active_set == ref.active_set
+    assert est.coef.tobytes() == ref.coef.tobytes()
+
+
+def test_empty_estimate_gathers_as_zero():
+    # every gather over est.active_set sees no location, not all of them
+    rng = np.random.default_rng(67)
+    m, g, _ = make_instance(rng)
+    empty = BlockSparseEstimate.empty(g.n_locations, g.n_orient, m.n_times)
+    lam = np.linspace(0.2, 0.4, g.n_locations) * lambda_max(m, g)
+    half_norm = 0.5 * float((m.entries ** 2).sum())
+    assert primal_objective(m, g, empty, lam) == half_norm
+    report = duality_gap(m, g, empty, lam)
+    assert report.primal == half_norm
+    assert report.dual == dual_objective(m, dual_map(m.entries, g, lam))
+    assert np.array_equal(bsmx.irmxne.compute_weights(empty),
+                          np.zeros(g.n_locations))
+    _, weights = apply_depth_weights(g, 0.8)
+    for mapped in (undo_depth_weights(empty, weights),
+                   _scale_blocks(empty, np.empty(0))):
+        assert mapped.active_set == ()
+        assert mapped.coef.shape == (0, m.n_times)
+        assert (mapped.n_locations, mapped.n_orient) == (g.n_locations,
+                                                         g.n_orient)
 
 
 @pytest.mark.parametrize("inner", ["bcd", "pgd"])
@@ -916,6 +1026,7 @@ _BAD_INPUTS = {
     "lam_zero": None, "lam_nan": None, "lam_inf": None, "lam_length": None,
     "lam_negative_entry": None, "data_rows": None,
     "est_locations": "est", "est_times": "est", "gap_tol_zero": "tol",
+    "gap_tol_inf": "tol", "gap_tol_nan": "tol",
     "candidate_negative": "cand", "candidate_past_end": "cand",
 }
 
@@ -941,6 +1052,8 @@ def _case_inputs(case):
         "est_locations": {"est": BlockSparseEstimate.empty(s + 1, o, t)},
         "est_times": {"est": BlockSparseEstimate.empty(s, o, t + 1)},
         "gap_tol_zero": {"tol": 0.0},
+        "gap_tol_inf": {"tol": np.inf},
+        "gap_tol_nan": {"tol": np.nan},
         "candidate_negative": {"cand": [-1, 0]},
         "candidate_past_end": {"cand": [s]},
     }[case])

@@ -18,20 +18,14 @@ from .model import (
     BlockSparseEstimate,
     SolverConfig,
     densify,
-    sparsify,
     residual,
 )
-from .prox import (
-    block_lipschitz,
-    block_lipschitz_all,
-    group_soft_threshold,
-)
+from .prox import block_lipschitz_all
 from .mxne import (
     GapReport,
     ConvergenceTrace,
     IterationLimitError,
     primal_objective,
-    dual_map,
     dual_objective,
     duality_gap,
     lambda_max,
@@ -51,7 +45,7 @@ from .constraints import (
     undo_depth_weights,
 )
 from .debias import estimate_scaling, apply_scaling
-from .oracle import global_lipschitz, solve_proximal_gradient
+from .oracle import solve_proximal_gradient
 
 __all__ = [
     "__version__",
@@ -60,16 +54,12 @@ __all__ = [
     "BlockSparseEstimate",
     "SolverConfig",
     "densify",
-    "sparsify",
     "residual",
-    "block_lipschitz",
     "block_lipschitz_all",
-    "group_soft_threshold",
     "GapReport",
     "ConvergenceTrace",
     "IterationLimitError",
     "primal_objective",
-    "dual_map",
     "dual_objective",
     "duality_gap",
     "lambda_max",
@@ -85,6 +75,5 @@ __all__ = [
     "undo_depth_weights",
     "estimate_scaling",
     "apply_scaling",
-    "global_lipschitz",
     "solve_proximal_gradient",
 ]

@@ -452,19 +452,22 @@ def cmd_benchmark(args) -> int:
     lam_top = lambda_max(m, design)
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for pct in args.lambda_pct:
-        lam = pct / 100.0 * lam_top
-        for name in method_list:
-            seconds, final_gap = _run_benchmark_method(name, m, design, lam,
-                                                       config)
-            log.info("benchmark %s lambda_pct=%g: %.3fs gap=%.2e",
-                     name, pct, seconds, final_gap)
-            rows.append([name, pct, f"{seconds:.6f}", f"{final_gap:.6e}"])
-
-    io._write_csv(os.path.join(args.out, "timings.csv"),
-                  ["method", "lambda_pct", "seconds", "final_gap"], rows)
-
-    _write_manifest(args, t_start, [seed])
+    try:
+        for pct in args.lambda_pct:
+            lam = pct / 100.0 * lam_top
+            for name in method_list:
+                seconds, final_gap = _run_benchmark_method(name, m, design,
+                                                           lam, config)
+                log.info("benchmark %s lambda_pct=%g: %.3fs gap=%.2e",
+                         name, pct, seconds, final_gap)
+                rows.append([name, pct, f"{seconds:.6f}",
+                             f"{final_gap:.6e}"])
+    finally:
+        # a method that fails (exit 3) still leaves the rows of the
+        # methods that finished before it, and the manifest
+        io._write_csv(os.path.join(args.out, "timings.csv"),
+                      ["method", "lambda_pct", "seconds", "final_gap"], rows)
+        _write_manifest(args, t_start, [seed])
     return 0
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "BlockSparseEstimate",
     "SolverConfig",
     "densify",
-    "sparsify",
     "residual",
 ]
 
@@ -168,9 +167,9 @@ class BlockSparseEstimate:
     Blocks that are exactly zero (``.any()`` is False) are never stored, so
     the support size is well defined. ``blocks`` slices read-only views of
     the blocks from ``coef`` on each read, in ``active_set`` order. Use
-    :func:`densify` / :func:`sparsify` to convert to and from the full
-    coefficient matrix. Like every type here that holds arrays, an estimate
-    compares by identity; compare ``coef`` with ``np.array_equal``.
+    :func:`densify` to expand it to the full coefficient matrix. Like every
+    type here that holds arrays, an estimate compares by identity; compare
+    ``coef`` with ``np.array_equal``.
     """
 
     active_set: Tuple[int, ...]
@@ -347,23 +346,6 @@ def _change_time_basis(
 def densify(est: BlockSparseEstimate) -> np.ndarray:
     """Expand an estimate to the full (n_locations * n_orient, n_times) matrix."""
     return _pack(est, np.arange(est.n_locations), est.n_orient, est.n_times)
-
-
-def sparsify(x: np.ndarray, n_orient: int) -> BlockSparseEstimate:
-    """Build an estimate from a dense coefficient matrix, dropping zero blocks.
-
-    The inverse of :func:`densify`: only blocks that are exactly zero are
-    removed, so ``densify(sparsify(x, o)) == x`` holds bitwise.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("coefficient matrix must be 2-D")
-    if x.shape[0] % n_orient != 0:
-        raise ValueError(
-            f"row count {x.shape[0]} is not a multiple of n_orient={n_orient}"
-        )
-    n_locations = x.shape[0] // n_orient
-    return _unpack(x, np.arange(n_locations), n_locations, n_orient)
 
 
 def _check_paired(m: Measurements, g: BlockDesign, est: Optional[BlockSparseEstimate] = None):

@@ -50,7 +50,6 @@ __all__ = [
     "ConvergenceTrace",
     "IterationLimitError",
     "primal_objective",
-    "dual_map",
     "dual_objective",
     "duality_gap",
     "lambda_max",
@@ -302,8 +301,8 @@ def _gap(m: Measurements, r: np.ndarray, coef: np.ndarray,
     ``lam_vec`` their penalty. The scores are the violation scores. Only
     the driver's full check passes ``bound``: its scores are then screened
     in float32 (:func:`_scaled_dual`), and its report is, bit for bit,
-    the one its float64 scores give. Restricted gaps, :func:`duality_gap`,
-    :func:`dual_map` and :func:`lambda_max` stay in float64 alone.
+    the one its float64 scores give. Restricted gaps, :func:`duality_gap`
+    and :func:`lambda_max` stay in float64 alone.
     """
     y, norms = _scaled_dual(r, gt, lam_vec, n_orient, bound)
     primal = _primal(r, coef, coef_lam, n_orient)
@@ -338,25 +337,11 @@ def primal_objective(m: Measurements, g: BlockDesign, est: BlockSparseEstimate,
     return _primal(r, est.coef, lam_vec[list(est.active_set)], g.n_orient)
 
 
-def dual_map(residual_tilde: np.ndarray, g: BlockDesign,
-             lam: Union[float, np.ndarray]) -> np.ndarray:
-    """Scale a residual onto the dual-feasible set.
-
-    Returns ``Y = R / max(max_s ||G_s^T R||_Fro / lam_s, 1)``, the natural
-    feasible dual point associated with a primal iterate: it satisfies
-    ``||G_s^T Y||_Fro <= lam_s`` for every location and leaves an already
-    feasible residual untouched.
-    """
-    r = Measurements(residual_tilde)
-    lam_vec, _ = _check_inputs(r, g, lam)
-    return _scaled_dual(r.entries, g.entries.T, lam_vec, g.n_orient)[0]
-
-
 def dual_objective(m: Measurements, y: np.ndarray) -> float:
     """Dual objective ``-0.5 * ||Y||_Fro^2 + Tr(Y^T M)``.
 
-    Feasibility of ``y`` is the caller's contract; use :func:`dual_map`
-    to produce a feasible point.
+    Feasibility of ``y`` (``||G_s^T Y||_Fro <= lam_s`` for every location)
+    is the caller's contract.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != m.entries.shape:

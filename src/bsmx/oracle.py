@@ -24,13 +24,13 @@ from .model import (
 from .mxne import IterationLimitError, _certified, _check_inputs, _gap, _primal
 from .prox import prox_blocks
 
-__all__ = ["global_lipschitz", "solve_proximal_gradient"]
+__all__ = ["solve_proximal_gradient"]
 
 # the duality gap is evaluated after every this many iterations
 _GAP_CHECK_EVERY = 10
 
 
-def global_lipschitz(g: BlockDesign) -> float:
+def _global_lipschitz(g: BlockDesign) -> float:
     """Spectral norm of ``G^T G``.
 
     The largest eigenvalue of the smaller of the two Gram matrices
@@ -90,7 +90,7 @@ def solve_proximal_gradient(
     # gt[i * O:(i + 1) * O] is G_s^T of candidate i
     gt = sub.entries.T
     mm = m.entries
-    lip = global_lipschitz(sub)
+    lip = _global_lipschitz(sub)
     if lip <= 0:
         raise ValueError("design matrix is all-zero")
     step = 1.0 / lip

@@ -7,9 +7,7 @@ import numpy as np
 from .model import BlockDesign
 
 __all__ = [
-    "block_lipschitz",
     "block_lipschitz_all",
-    "group_soft_threshold",
     "prox_blocks",
 ]
 
@@ -45,25 +43,6 @@ def _check_blocks(lips: np.ndarray, locations=None) -> np.ndarray:
     return lips
 
 
-def block_lipschitz(block: np.ndarray) -> float:
-    """Curvature constant of the data fit restricted to one block.
-
-    Returns the spectral norm of ``block.T @ block``, i.e. the squared
-    largest singular value of the block, as :func:`block_lipschitz_all`
-    computes it for a one-location design.
-
-    Raises
-    ------
-    ValueError
-        If the block is all-zero ("degenerate design block"): the
-        coordinate step size would be undefined.
-    """
-    if np.ndim(block) != 2:
-        raise ValueError("design block must be 2-D")
-    lips = block_lipschitz_all(BlockDesign(block, 1, np.shape(block)[1]))
-    return float(_check_blocks(lips)[0])
-
-
 def block_lipschitz_all(design: BlockDesign) -> np.ndarray:
     """Per-location curvature constants ``||G_s^T G_s||`` of a design.
 
@@ -81,20 +60,3 @@ def block_lipschitz_all(design: BlockDesign) -> np.ndarray:
         lips.setflags(write=False)
         object.__setattr__(design, "_lipschitz", lips)
     return design._lipschitz
-
-
-def group_soft_threshold(block: np.ndarray, threshold: float) -> np.ndarray:
-    """Shrink a block radially, zeroing it inside the threshold ball.
-
-    Proximal operator of ``threshold * ||.||_Fro``: the input is scaled by
-    ``max(1 - threshold / ||block||_Fro, 0)``. When the block's Frobenius
-    norm is at most ``threshold`` the result is exactly zero (bitwise, not
-    merely small); otherwise the output keeps the input's direction and
-    satisfies the stationarity identity
-    ``block - out = threshold * out / ||out||_Fro``.
-    """
-    if not threshold > 0:
-        raise ValueError("threshold must be positive")
-    block = np.asarray(block, dtype=float)
-    flat = block.reshape(1, -1)
-    return prox_blocks(flat, np.array([float(threshold)]), 1).reshape(block.shape)

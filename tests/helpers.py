@@ -1,10 +1,11 @@
 """Shared fixtures-in-spirit: instance generators, independent oracles, a
-probe of the irMxNE solves and a FIFO fed by a thread.
+one-block form of ``prox_blocks``, a probe of the irMxNE solves and a FIFO
+fed by a thread.
 
 The oracles here deliberately avoid the library's own code paths: dense
-objectives are recomputed with raw numpy expressions, the prox is checked
-against golden-section search, and debiasing against projected gradient
-descent.
+objectives are recomputed with raw numpy expressions, block constants by
+SVD, the prox is checked against its closed form and golden-section
+search, and debiasing against projected gradient descent.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import numpy as np
 
 from bsmx import irmxne, mxne
 from bsmx.model import BlockDesign, BlockSparseEstimate, Measurements, densify
+from bsmx.prox import prox_blocks
 from bsmx.sim import random_instance
 
 
@@ -84,6 +86,22 @@ def dense_sqrt_objective(m, g, est, lam):
     for s in range(g.n_locations):
         pen += np.sqrt(np.sqrt((x[s * o:(s + 1) * o] ** 2).sum()))
     return 0.5 * (r ** 2).sum() + lam * pen
+
+
+def spectral_norm_sq(block):
+    """``||B^T B||`` of one block by SVD: its squared largest singular value."""
+    return float(np.linalg.svd(block, compute_uv=False)[0] ** 2)
+
+
+def closed_form_prox(block, threshold):
+    """Group soft-thresholding of one block, ``max(1 - thr / ||B||_F, 0) * B``."""
+    return max(1.0 - threshold / np.linalg.norm(block), 0.0) * block
+
+
+def prox_one(block, threshold):
+    """``prox_blocks`` applied to one block of any shape."""
+    flat = np.reshape(block, (1, -1))
+    return prox_blocks(flat, np.array([threshold]), 1).reshape(np.shape(block))
 
 
 def golden_section_prox_scale(block, threshold, tol=1e-14):

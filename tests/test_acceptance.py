@@ -27,7 +27,6 @@ from bsmx.mxne import (
     solve_bcd,
 )
 from bsmx.oracle import solve_proximal_gradient
-from bsmx.prox import group_soft_threshold
 from bsmx.sim import (
     ScenarioSpec,
     evaluate,
@@ -36,6 +35,8 @@ from bsmx.sim import (
     random_instance,
     resample_stability,
 )
+
+from helpers import prox_one
 
 
 def _report(num, ok, detail=""):
@@ -105,7 +106,7 @@ def test_criterion_03_prox_optimality():
         t = int(rng.integers(1, 12))
         block = rng.standard_normal((o, t)) * float(rng.uniform(0.1, 5.0))
         threshold = float(rng.uniform(0.05, 1.6)) * np.linalg.norm(block)
-        out = group_soft_threshold(block, threshold)
+        out = prox_one(block, threshold)
         norm_out = np.linalg.norm(out)
         if norm_out == 0.0:
             zero_cases += 1

@@ -751,6 +751,24 @@ def test_benchmark_stops_every_method_at_max_bcd_iter(tmp_path, caplog,
     assert "solver failed" in caplog.text
 
 
+def test_benchmark_keeps_finished_methods_when_a_later_one_fails(
+        tmp_path, caplog):
+    out = tmp_path / "bench"
+    # bcd_as certifies within 60 sweeps, pgd_full does not
+    rc = main(["benchmark", "--seed", "0", "--n-sensors", "10",
+               "--n-locations", "20", "--n-times", "4", "--lambda-pct", "50",
+               "--methods", "bcd_as,pgd_full", "--max-bcd-iter", "60",
+               "--out", str(out)])
+    assert rc == 3
+    assert "solver failed" in caplog.text
+    with open(out / "timings.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["method"] for row in rows] == ["bcd_as"]
+    assert float(rows[0]["final_gap"]) < 1e-6
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["max_bcd_iter"] == 60
+
+
 @pytest.mark.parametrize("methods", ["bcd_as,pgd_sa", "pgd_sa,bcd_as"])
 def test_benchmark_rejects_unknown_method_before_running(tmp_path, monkeypatch,
                                                          caplog, methods):

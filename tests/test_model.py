@@ -15,7 +15,6 @@ from bsmx.model import (
     _unpack,
     densify,
     residual,
-    sparsify,
 )
 from bsmx.sim import ScenarioSpec, StabilityReport, generate_scenario
 
@@ -43,7 +42,7 @@ def test_densify_sparsify_round_trip():
         # zero out a random subset of blocks exactly
         for loc in rng.choice(s, size=5, replace=False):
             x[loc * o:(loc + 1) * o] = 0.0
-        est = sparsify(x, o)
+        est = _unpack(x, np.arange(s), s, o)
         assert np.array_equal(densify(est), x)
         assert all(x[s_ * o:(s_ + 1) * o].any() for s_ in est.active_set)
 
@@ -84,14 +83,7 @@ def test_underflowing_block_stays_active():
     assert est.active_set == (1,)
     cand = [0, 1, 3]
     assert _unpack(_pack(est, cand, 3, 2), cand, 4, 3).active_set == (1,)
-    assert sparsify(densify(est), 3).active_set == (1,)
-
-
-def test_sparsify_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        sparsify(np.zeros((7, 3)), 2)
-    with pytest.raises(ValueError):
-        sparsify(np.zeros(6), 2)
+    assert _unpack(densify(est), np.arange(4), 4, 3).active_set == (1,)
 
 
 def test_residual_empty_estimate_returns_data():
@@ -238,7 +230,8 @@ def test_single_time_sample_supported():
     assert m.n_times == 1
     x = densify(truth)
     assert x.shape[1] == 1
-    assert np.array_equal(densify(sparsify(x, g.n_orient)), x)
+    back = _unpack(x, np.arange(g.n_locations), g.n_locations, g.n_orient)
+    assert np.array_equal(densify(back), x)
     assert np.abs(residual(m, g, truth)).max() < 1e-12
 
 

@@ -23,7 +23,6 @@ from bsmx.constraints import (
 from bsmx.mxne import (
     ConvergenceTrace,
     IterationLimitError,
-    dual_map,
     dual_objective,
     duality_gap,
     lambda_max,
@@ -31,13 +30,19 @@ from bsmx.mxne import (
     solve_active_set,
     solve_bcd,
     _location_norms,
+    _scaled_dual,
     _top_violators,
 )
 from bsmx.oracle import solve_proximal_gradient
-from bsmx.prox import block_lipschitz_all, group_soft_threshold
+from bsmx.prox import block_lipschitz_all
 from bsmx.sim import ScenarioSpec, generate_scenario, random_instance
 
-from helpers import dense_primal, make_instance, orthonormal_design
+from helpers import (
+    closed_form_prox,
+    dense_primal,
+    make_instance,
+    orthonormal_design,
+)
 
 
 def test_primal_zero_estimate():
@@ -80,7 +85,9 @@ def test_primal_matches_dense_oracle():
 def test_dual_map_zero_residual():
     rng = np.random.default_rng(3)
     _, g, _ = make_instance(rng)
-    y = dual_map(np.zeros((g.n_sensors, 4)), g, 1.0)
+    lam_vec = np.full(g.n_locations, 1.0)
+    y = _scaled_dual(np.zeros((g.n_sensors, 4)), g.entries.T, lam_vec,
+                     g.n_orient)[0]
     assert np.array_equal(y, np.zeros((g.n_sensors, 4)))
 
 
@@ -92,7 +99,8 @@ def test_dual_map_scales_by_violation_ratio():
     o = g.n_orient
     norms = np.linalg.norm(corr.reshape(g.n_locations, -1), axis=1)
     lam = norms.max() / 2.0
-    y = dual_map(y_tilde, g, lam)
+    lam_vec = np.full(g.n_locations, lam)
+    y = _scaled_dual(y_tilde, g.entries.T, lam_vec, o)[0]
     assert np.allclose(y, y_tilde / 2.0, atol=1e-14)
 
 
@@ -102,8 +110,9 @@ def test_dual_map_feasibility_exhaustive():
         m, g, _ = make_instance(rng)
         y_tilde = rng.standard_normal((g.n_sensors, m.n_times))
         lam = float(rng.uniform(0.05, 1.0))
-        y = dual_map(y_tilde, g, lam)
         o = g.n_orient
+        y = _scaled_dual(y_tilde, g.entries.T, np.full(g.n_locations, lam),
+                         o)[0]
         for s in range(g.n_locations):
             norm = np.linalg.norm(g.block(s).T @ y)
             assert norm <= lam * (1 + 1e-12)
@@ -134,7 +143,7 @@ def test_gap_zero_at_one_block_closed_form():
     m = Measurements(rng.standard_normal((10, 5)))
     corr = g.block(0).T @ m.entries
     lam = 0.4 * np.linalg.norm(corr)
-    x_star = group_soft_threshold(corr, lam)
+    x_star = closed_form_prox(corr, lam)
     est = BlockSparseEstimate.from_blocks([(0, x_star)], 1, 3, 5)
     rep = duality_gap(m, g, est, lam)
     assert abs(rep.gap) < 1e-10
@@ -211,7 +220,7 @@ def test_solve_bcd_orthogonal_design_single_sweep():
     # closed form: blockwise prox of G^T M
     x = densify(est)
     for s in range(6):
-        expected = group_soft_threshold(corr[s * 2:(s + 1) * 2], lam)
+        expected = closed_form_prox(corr[s * 2:(s + 1) * 2], lam)
         got = x[s * 2:(s + 1) * 2]
         if not got.any():
             assert not expected.any()
@@ -707,7 +716,8 @@ def test_empty_estimate_gathers_as_zero():
     assert primal_objective(m, g, empty, lam) == half_norm
     report = duality_gap(m, g, empty, lam)
     assert report.primal == half_norm
-    assert report.dual == dual_objective(m, dual_map(m.entries, g, lam))
+    y = _scaled_dual(m.entries, g.entries.T, lam, g.n_orient)[0]
+    assert report.dual == dual_objective(m, y)
     assert np.array_equal(bsmx.irmxne.compute_weights(empty),
                           np.zeros(g.n_locations))
     _, weights = apply_depth_weights(g, 0.8)
@@ -996,7 +1006,7 @@ def test_trace_to_csv(tmp_path):
 
 
 def _entry_points():
-    """The six public entry points, each called with the inputs of one
+    """The five public entry points, each called with the inputs of one
     case: ``(m, g, est, lam, gap_tol, candidates)``."""
     return {
         "solve_bcd": lambda m, g, est, lam, tol, cand: solve_bcd(
@@ -1010,8 +1020,6 @@ def _entry_points():
             duality_gap(m, g, est, lam),
         "primal_objective": lambda m, g, est, lam, tol, cand:
             primal_objective(m, g, est, lam),
-        "dual_map": lambda m, g, est, lam, tol, cand:
-            dual_map(m.entries, g, lam),
     }
 
 

@@ -10,22 +10,26 @@ from bsmx.mxne import (
     solve_active_set,
     solve_bcd,
 )
-from bsmx.oracle import global_lipschitz, solve_proximal_gradient
-from bsmx.prox import block_lipschitz, group_soft_threshold
+from bsmx.oracle import _global_lipschitz, solve_proximal_gradient
 
-from helpers import make_instance, orthonormal_design
+from helpers import (
+    closed_form_prox,
+    make_instance,
+    orthonormal_design,
+    spectral_norm_sq,
+)
 
 
 def test_global_lipschitz_orthonormal():
     rng = np.random.default_rng(0)
     g = orthonormal_design(rng, 4, 3, n_sensors=20)
-    assert global_lipschitz(g) == pytest.approx(1.0, rel=1e-8)
+    assert _global_lipschitz(g) == pytest.approx(1.0, rel=1e-8)
 
 
 def test_global_lipschitz_known_singular_values():
     raw = np.array([[3.0, 0.0], [0.0, 1.0]])
     g = BlockDesign(raw, 2, 1)
-    assert global_lipschitz(g) == pytest.approx(9.0, rel=1e-10)
+    assert _global_lipschitz(g) == pytest.approx(9.0, rel=1e-10)
 
 
 def test_global_lipschitz_matches_dense_eigensolve():
@@ -36,15 +40,15 @@ def test_global_lipschitz_matches_dense_eigensolve():
             raw = rng.standard_normal((n_sensors, 12))
             g = BlockDesign(raw, 4, 3)
             dense = np.linalg.eigvalsh(raw.T @ raw)[-1]
-            assert global_lipschitz(g) == pytest.approx(dense, rel=1e-8)
+            assert _global_lipschitz(g) == pytest.approx(dense, rel=1e-8)
 
 
 def test_global_dominates_block_constants():
     rng = np.random.default_rng(2)
     _, g, _ = make_instance(rng, n_locations=12)
-    lip = global_lipschitz(g)
+    lip = _global_lipschitz(g)
     for s in range(g.n_locations):
-        assert lip >= block_lipschitz(g.block(s)) - 1e-10
+        assert lip >= spectral_norm_sq(g.block(s)) - 1e-10
 
 
 def test_pgd_zero_at_lambda_max():
@@ -63,7 +67,7 @@ def test_pgd_orthogonal_closed_form():
     est = solve_proximal_gradient(m, g, lam, 1e-12)
     dense = densify(est)
     for s in range(5):
-        expected = group_soft_threshold(corr[s * 2:(s + 1) * 2], lam)
+        expected = closed_form_prox(corr[s * 2:(s + 1) * 2], lam)
         assert np.allclose(dense[s * 2:(s + 1) * 2], expected, atol=1e-7)
 
 

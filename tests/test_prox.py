@@ -2,20 +2,20 @@ import numpy as np
 import pytest
 
 from bsmx.model import BlockDesign
-from bsmx.prox import (
-    block_lipschitz,
-    block_lipschitz_all,
-    group_soft_threshold,
-    prox_blocks,
-)
+from bsmx.prox import _check_blocks, block_lipschitz_all, prox_blocks
 
-from helpers import golden_section_prox_scale, orthonormal_design
+from helpers import (
+    golden_section_prox_scale,
+    orthonormal_design,
+    prox_one,
+    spectral_norm_sq,
+)
 
 
 def test_block_lipschitz_orthonormal_block():
     rng = np.random.default_rng(0)
     g = orthonormal_design(rng, 1, 3, n_sensors=8)
-    assert block_lipschitz(g.block(0)) == pytest.approx(1.0, rel=1e-12)
+    assert block_lipschitz_all(g)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_block_lipschitz_single_column():
@@ -23,20 +23,22 @@ def test_block_lipschitz_single_column():
     col = rng.standard_normal((9, 1))
     c = 2.5
     expected = c * c * float((col ** 2).sum())
-    assert block_lipschitz(c * col) == pytest.approx(expected, rel=1e-12)
+    lips = block_lipschitz_all(BlockDesign(c * col, 1, 1))
+    assert lips[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_block_lipschitz_matches_svd_oracle():
     rng = np.random.default_rng(2)
     for _ in range(25):
         block = rng.standard_normal((8, 3))
-        sigma = np.linalg.svd(block, compute_uv=False)[0]
-        assert block_lipschitz(block) == pytest.approx(sigma ** 2, rel=1e-9)
+        lips = block_lipschitz_all(BlockDesign(block, 1, 3))
+        assert lips[0] == pytest.approx(spectral_norm_sq(block), rel=1e-9)
 
 
 def test_block_lipschitz_zero_block_raises():
+    design = BlockDesign(np.zeros((5, 3)), 1, 3)
     with pytest.raises(ValueError, match="degenerate design block"):
-        block_lipschitz(np.zeros((5, 3)))
+        _check_blocks(block_lipschitz_all(design))
 
 
 def test_block_lipschitz_all_matches_per_block():
@@ -46,7 +48,7 @@ def test_block_lipschitz_all_matches_per_block():
         design = BlockDesign(raw, 6, o)
         lips = block_lipschitz_all(design)
         for s in range(6):
-            assert lips[s] == pytest.approx(block_lipschitz(design.block(s)),
+            assert lips[s] == pytest.approx(spectral_norm_sq(design.block(s)),
                                             rel=1e-12)
 
 
@@ -63,7 +65,7 @@ def test_group_soft_threshold_inside_ball_is_bitwise_zero():
     rng = np.random.default_rng(5)
     block = rng.standard_normal((3, 4))
     block *= 0.5 / np.linalg.norm(block)
-    out = group_soft_threshold(block, 1.0)
+    out = prox_one(block, 1.0)
     assert out.shape == block.shape
     # exact zeros, not merely small
     assert np.all(out == 0.0)
@@ -73,7 +75,7 @@ def test_group_soft_threshold_inside_ball_is_bitwise_zero():
 def test_group_soft_threshold_identity_limit():
     rng = np.random.default_rng(6)
     block = rng.standard_normal((3, 5))
-    out = group_soft_threshold(block, 1e-15)
+    out = prox_one(block, 1e-15)
     assert np.abs(out - block).max() <= 1e-12 * np.abs(block).max()
 
 
@@ -82,7 +84,7 @@ def test_group_soft_threshold_scaling_and_golden_section():
     block = rng.standard_normal((3, 5))
     norm = np.linalg.norm(block)
     threshold = 0.7 * norm
-    out = group_soft_threshold(block, threshold)
+    out = prox_one(block, threshold)
     assert np.linalg.norm(out) == pytest.approx(0.3 * norm, rel=1e-12)
     # colinear with the input
     assert np.allclose(out, 0.3 * block, atol=1e-12 * norm)
@@ -91,21 +93,14 @@ def test_group_soft_threshold_scaling_and_golden_section():
     assert c_star == pytest.approx(0.3, abs=1e-7)
 
 
-def test_group_soft_threshold_rejects_bad_threshold():
-    with pytest.raises(ValueError, match="positive"):
-        group_soft_threshold(np.ones((2, 2)), 0.0)
-    with pytest.raises(ValueError, match="positive"):
-        group_soft_threshold(np.ones((2, 2)), -1.0)
-
-
 def test_group_soft_threshold_nonexpansive():
     rng = np.random.default_rng(8)
     for _ in range(50):
         a = rng.standard_normal((3, 6))
         b = rng.standard_normal((3, 6))
         thr = float(rng.uniform(0.1, 3.0))
-        pa = group_soft_threshold(a, thr)
-        pb = group_soft_threshold(b, thr)
+        pa = prox_one(a, thr)
+        pb = prox_one(b, thr)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
 
@@ -114,7 +109,7 @@ def test_group_soft_threshold_preserves_direction():
     for _ in range(50):
         a = rng.standard_normal((2, 4))
         thr = float(rng.uniform(0.05, 2.0) * np.linalg.norm(a))
-        out = group_soft_threshold(a, thr)
+        out = prox_one(a, thr)
         norm_out = np.linalg.norm(out)
         if norm_out == 0:
             continue
@@ -135,6 +130,6 @@ def test_group_soft_threshold_matches_prox_blocks_bitwise():
         assert not np.signbit(out[out == 0.0]).any()
         for s in range(n_loc):
             rows = slice(s * o, (s + 1) * o)
-            single = group_soft_threshold(x[rows], thresholds[s])
+            single = prox_one(x[rows], thresholds[s])
             assert single.tobytes() == out[rows].tobytes()
         assert (out.reshape(n_loc, -1) == 0.0).all(axis=1).sum() > 0

@@ -452,12 +452,20 @@ def cmd_benchmark(args) -> int:
     lam_top = lambda_max(m, design)
     os.makedirs(args.out, exist_ok=True)
     rows = []
+    # the method, lambda_pct and gap of an IterationLimitError, if one ends
+    # the run
+    stopped = None
     try:
         for pct in args.lambda_pct:
             lam = pct / 100.0 * lam_top
             for name in method_list:
-                seconds, final_gap = _run_benchmark_method(name, m, design,
-                                                           lam, config)
+                try:
+                    seconds, final_gap = _run_benchmark_method(
+                        name, m, design, lam, config)
+                except IterationLimitError as exc:
+                    stopped = {"method": name, "lambda_pct": pct,
+                               "gap": exc.gap}
+                    raise
                 log.info("benchmark %s lambda_pct=%g: %.3fs gap=%.2e",
                          name, pct, seconds, final_gap)
                 rows.append([name, pct, f"{seconds:.6f}",
@@ -467,7 +475,8 @@ def cmd_benchmark(args) -> int:
         # methods that finished before it, and the manifest
         io._write_csv(os.path.join(args.out, "timings.csv"),
                       ["method", "lambda_pct", "seconds", "final_gap"], rows)
-        _write_manifest(args, t_start, [seed])
+        _write_manifest(args, t_start, [seed], methods=method_list,
+                        stopped=stopped)
     return 0
 
 

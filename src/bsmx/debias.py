@@ -34,12 +34,17 @@ def estimate_scaling(m: Measurements, g: BlockDesign,
     ``est.active_set``, in that order.
 
     Minimizes ``||M - sum_s d_s * G_s X_s||_Fro^2`` over the active set by
-    cyclic projected coordinate descent: the unconstrained coordinate
-    update is the correlation of the source's sensor footprint with the
-    residual excluding that source, divided by the footprint's squared
-    norm, clamped to at least 1. Each update is an exact coordinate
-    minimization, so the objective is non-increasing. Sources whose
-    footprint is exactly zero keep ``d_s = 1``.
+    cyclic projected coordinate descent. The problem sees the data only
+    through the Gram matrix of the sensor footprints,
+    ``A_st = <G_s X_s, G_t X_t>``, and their correlations with the data,
+    ``b_s = <M, G_s X_s>``. Both are formed in Gram form, as block sums
+    of ``(X X^T) * (G_A^T G_A)`` and of ``(G_A^T M) * X`` over the active
+    locations ``A``, so no ``n_sensors x n_times`` footprint is built. The
+    unconstrained coordinate update is
+    ``(b_s - sum_{t != s} A_st d_t) / A_ss``, clamped to at least 1. Each
+    update is an exact coordinate minimization, so the objective is
+    non-increasing. Sources whose footprint is exactly zero
+    (``A_ss == 0``) keep ``d_s = 1``.
 
     Iterates until the largest coordinate change drops below ``_TOL``,
     with a cap of ``10 * n_active`` sweeps.
@@ -48,25 +53,22 @@ def estimate_scaling(m: Measurements, g: BlockDesign,
     if est.n_active == 0:
         raise ValueError("cannot debias an empty estimate")
 
-    footprints = [g.block(s) @ blk for s, blk in zip(est.active_set, est.blocks)]
-    sq_norms = np.array([(a * a).sum() for a in footprints])
-    n = est.n_active
+    n, o = est.n_active, est.n_orient
+    gt = g.entries.T[g.column_indices(est.active_set)]
+    x = est.coef
+    gram = ((x @ x.T) * (gt @ gt.T)).reshape(n, o, n, o).sum(axis=(1, 3))
+    corr = ((gt @ m.entries) * x).reshape(n, -1).sum(axis=1)
+    diag = gram.diagonal()
     d = np.ones(n)
-
-    r = m.entries.copy()
-    for a in footprints:
-        r -= a
 
     max_sweeps = 10 * n
     for _ in range(max_sweeps):
         max_delta = 0.0
         for i in range(n):
-            if sq_norms[i] == 0.0:
+            if diag[i] == 0.0:
                 continue
-            a = footprints[i]
-            r_i = r + d[i] * a
-            d_new = max(float((r_i * a).sum()) / sq_norms[i], 1.0)
-            r = r_i - d_new * a
+            c = corr[i] - float(gram[i] @ d) + d[i] * diag[i]
+            d_new = max(c / diag[i], 1.0)
             max_delta = max(max_delta, abs(d_new - d[i]))
             d[i] = d_new
         if max_delta < _TOL:

@@ -10,7 +10,9 @@ through the duality gap.
 ``lam`` may be a scalar or a per-location vector; the vector form solves
 the weighted-penalty problem ``... + sum_s lam[s] * ||X_s||_Fro``.
 Every entry point checks its inputs with :func:`_check_inputs`; every
-certificate, full or restricted, is a report of :func:`_gap`.
+certificate, full or restricted, is a report of :func:`_gap`. Small
+restricted problems are solved in Gram form (:func:`solve_bcd`), and the
+certificate of such a solve is a gap on a fresh residual.
 
 The working-set driver's full check on a design of more than
 ``_SCORE_CHUNK`` locations screens the scores ``||G_s^T R||_Fro`` in
@@ -59,6 +61,12 @@ __all__ = [
 
 # maintained residuals are rebuilt from scratch this often to bound drift
 _RESYNC_EVERY = 50
+# solve_bcd solves in Gram form when its candidate columns number at most
+# this fraction of min(n_sensors, n_times) ...
+_REDUCED_FRACTION = 0.5
+# ... and this many ulps of ||M||_Fro^2, the roundoff of a Gram-form
+# ||R||^2, fit within gap_tol
+_REDUCED_ULPS = 64
 # after an expansion, inner solves stop at this fraction of the full gap
 _INNER_TOL_RATIO = 0.3
 # the first expansion adds this many locations, and every later one at least
@@ -170,11 +178,12 @@ def _check_inputs(m: Measurements, g: BlockDesign, lam, est=None,
     return lam_vec, cand
 
 
-def _primal(r: np.ndarray, coef: np.ndarray, lam_vec: np.ndarray,
+def _primal(sq_residual: float, coef: np.ndarray, lam_vec: np.ndarray,
             n_orient: int) -> float:
-    """Primal objective from a residual and packed coefficients."""
+    """Primal objective from the squared residual norm ``||R||_Fro^2`` and
+    packed coefficients."""
     pen = float(lam_vec @ _location_norms(coef, n_orient))
-    return 0.5 * float((r * r).sum()) + pen
+    return 0.5 * sq_residual + pen
 
 
 def _scores(gt: np.ndarray, r: np.ndarray, n_orient: int,
@@ -289,9 +298,10 @@ def _scaled_dual(r: np.ndarray, gt: np.ndarray, lam_vec: np.ndarray,
     return r / float(ratios.max(initial=1.0)), norms
 
 
-def _gap(m: Measurements, r: np.ndarray, coef: np.ndarray,
-         coef_lam: np.ndarray, gt: np.ndarray, lam_vec: np.ndarray,
-         n_orient: int, bound: Optional[np.ndarray] = None,
+def _gap(m: Measurements, r: Union[np.ndarray, Tuple[float, float, np.ndarray]],
+         coef: np.ndarray, coef_lam: np.ndarray, gt: np.ndarray,
+         lam_vec: np.ndarray, n_orient: int,
+         bound: Optional[np.ndarray] = None,
          ) -> Tuple[GapReport, Union[np.ndarray, _Screen]]:
     """Duality gap of the packed ``X_C`` (penalty ``coef_lam``) with
     residual ``R = M - G_C X_C``, and the scores ``||G_s^T R||_Fro``.
@@ -303,10 +313,20 @@ def _gap(m: Measurements, r: np.ndarray, coef: np.ndarray,
     in float32 (:func:`_scaled_dual`), and its report is, bit for bit,
     the one its float64 scores give. Restricted gaps, :func:`duality_gap`
     and :func:`lambda_max` stay in float64 alone.
+
+    A restricted problem in Gram form (:func:`solve_bcd`) passes, in place
+    of ``R``, its statistics ``(||R||_Fro^2, <R, M>, scores)``, and
+    ``gt`` is not read: the dual point ``R / a`` then has the objective
+    ``<R, M> / a - ||R||_Fro^2 / (2 a^2)``.
     """
-    y, norms = _scaled_dual(r, gt, lam_vec, n_orient, bound)
-    primal = _primal(r, coef, coef_lam, n_orient)
-    dual = dual_objective(m, y)
+    if isinstance(r, tuple):
+        sq_residual, r_dot_m, norms = r
+        scale = float((norms / lam_vec).max(initial=1.0))
+        dual = r_dot_m / scale - 0.5 * sq_residual / (scale * scale)
+    else:
+        y, norms = _scaled_dual(r, gt, lam_vec, n_orient, bound)
+        sq_residual, dual = float((r * r).sum()), dual_objective(m, y)
+    primal = _primal(sq_residual, coef, coef_lam, n_orient)
     return GapReport(primal=primal, dual=dual, gap=primal - dual), norms
 
 
@@ -334,7 +354,8 @@ def primal_objective(m: Measurements, g: BlockDesign, est: BlockSparseEstimate,
     """Value of ``0.5 * ||M - G X||_Fro^2 + sum_s lam_s ||X_s||_Fro``."""
     lam_vec, _ = _check_inputs(m, g, lam, est)
     r = residual(m, g, est)
-    return _primal(r, est.coef, lam_vec[list(est.active_set)], g.n_orient)
+    return _primal(float((r * r).sum()), est.coef,
+                   lam_vec[list(est.active_set)], g.n_orient)
 
 
 def dual_objective(m: Measurements, y: np.ndarray) -> float:
@@ -398,7 +419,7 @@ def solve_bcd(
     ``L_s = ||G_s^T G_s||`` is computed once per design, for every call
     (:func:`bsmx.prox.block_lipschitz_all`). The residual is updated
     incrementally after each block change and recomputed with one product
-    every 50 sweeps to bound drift.
+    every ``_RESYNC_EVERY`` (50) sweeps to bound drift.
 
     Every ``_ANDERSON_K`` (5) sweeps the last iterates are extrapolated
     (Anderson acceleration of coordinate descent; Bertrand and Massias,
@@ -411,11 +432,29 @@ def solve_bcd(
     extrapolates if due, then sweeps; iteration stops when the gap
     certifies (:func:`_certified`). Every trace row is therefore the gap
     of an iterate a sweep produced, and a call adds one row more than it
-    runs sweeps.
+    runs sweeps, plus the confirming row below if it ran in Gram form.
     That gap is the full check's :func:`_gap` over the candidates' rows of
     ``G^T``, fresh residuals use :func:`bsmx.model._forward_rows`, and the
     inputs pass :func:`_check_inputs`, as in every entry point. With no
     candidates, the zero estimate is certified with a gap of exactly 0.
+
+    Small candidate sets ``C`` are solved in Gram form, where the problem
+    sees the data only through ``Q = G_C^T G_C``, ``B = G_C^T M`` and
+    ``||M||_Fro^2``. A call takes it when its entry pass, always on a
+    fresh residual, does not certify, and when
+    ``|C| * n_orient <= _REDUCED_FRACTION * min(n_sensors, n_times)``
+    (0.5) and ``_REDUCED_ULPS * eps * ||M||_Fro^2 <= gap_tol`` (64): the
+    ``||R||_Fro^2`` of the Gram form carries roundoff of about
+    ``eps * ||M||_Fro^2``. Its state is then ``H = B - Q X = G_C^T R`` in
+    place of ``R``: a block step reads ``H_s`` and adds
+    ``Q[:, s] (X_s_old - X_s_new)`` to ``H``, and the resync and the
+    Anderson check rebuild ``H`` as ``B - Q X``. Its gaps are :func:`_gap`
+    of ``||R||^2 = ||M||^2 - <B, X> - <X, H>``, ``<R, M> = ||M||^2 -
+    <B, X>`` and the scores ``||H_s||_Fro``. When such a gap certifies, or
+    the sweep cap is reached, the pass is evaluated again on a fresh
+    residual of the same iterate; that row is the call's certificate (or
+    the gap its ``IterationLimitError`` carries), and if it does not
+    certify, the call goes on in residual form.
 
     Parameters
     ----------
@@ -458,17 +497,37 @@ def solve_bcd(
     # row 0: iterate at the start of the window; row k: change of sweep k
     history = np.empty((_ANDERSON_K + 1, x.size))
     rows = [slice(i * n_orient, (i + 1) * n_orient) for i in range(n_cand)]
-    sweep_args = [
+    # per block: what reads G_s^T R off the state and what writes a block
+    # change into it, G_s^T and G_s in residual form
+    residual_blocks = [
         (i, g_cand_t[sl], g_cand_t[sl].T, x[sl], steps[i],
          steps[i] * lam_cand[i])
         for i, sl in enumerate(rows)
     ]
 
-    def fresh_residual(coef):
+    qualifies = (n_cand * n_orient
+                 <= _REDUCED_FRACTION * min(g.n_sensors, n_times))
+    if qualifies:
+        sq_data = float((m.entries * m.entries).sum())
+        qualifies = _REDUCED_ULPS * np.finfo(float).eps * sq_data <= gap_tol
+    # the state is R, or in Gram form H = B - Q X = G_C^T R with
+    # Q = G_C^T G_C and B = G_C^T M, formed when the call enters that form
+    reduced, blocks, q, b = False, residual_blocks, None, None
+
+    def fresh_state(coef):
+        if reduced:
+            return b - q @ coef
         return m.entries - _forward_rows(g_cand_t, coef)
 
+    def statistics(h, coef):
+        """``(||R||^2, <R, M>)`` of ``coef`` from its Gram state ``h``:
+        ``<R, M> = ||M||^2 - <B, X>`` and ``||R||^2 = <R, M> - <X, H>``."""
+        r_dot_m = sq_data - float((b * coef).sum())
+        return r_dot_m - float((coef * h).sum()), r_dot_m
+
     def extrapolate(primal):
-        """Anderson point of the last window, or None if it is no better."""
+        """Anderson point of the last window and its state, or None if it
+        is no better."""
         diffs = history[1:]
         gram = diffs @ diffs.T
         gram.flat[::_ANDERSON_K + 1] += 1e-12 * np.trace(gram)
@@ -484,18 +543,31 @@ def solve_bcd(
         x_e.reshape(n_cand, -1)[np.logical_not(active)] = 0.0
         if not np.isfinite(x_e).all():
             return None
-        r_e = fresh_residual(x_e)
-        if not _primal(r_e, x_e, lam_cand, n_orient) < primal:
+        state_e = fresh_state(x_e)
+        sq_residual = (statistics(state_e, x_e)[0] if reduced
+                       else float((state_e * state_e).sum()))
+        if not _primal(sq_residual, x_e, lam_cand, n_orient) < primal:
             return None
-        return x_e, r_e
+        return x_e, state_e
 
-    r = fresh_residual(x)
+    state = fresh_state(x)
     sweeps = 0
     while True:
+        if reduced:
+            r = (*statistics(state, x), _location_norms(state, n_orient))
+        else:
+            r = state
         report, _ = _gap(m, r, x, lam_cand, g_cand_t, lam_cand, n_orient)
         primal, gap = report.primal, report.gap
         trace.add(gap, sum(active), primal)
-        if _certified(report, gap_tol):
+        certified = _certified(report, gap_tol)
+        if reduced and (certified or sweeps >= max_iter):
+            # the pass again on a fresh residual of the same iterate: it
+            # certifies the call, or the call goes on in residual form
+            reduced, blocks = False, residual_blocks
+            state = fresh_state(x)
+            continue
+        if certified:
             break
         if sweeps >= max_iter:
             raise IterationLimitError(
@@ -504,33 +576,42 @@ def solve_bcd(
                 estimate=_unpack(x, cand, n_loc, n_orient),
                 gap=gap,
             )
+        if qualifies and not sweeps:
+            # the entry pass did not certify: sweep in Gram form, reading
+            # rows s of H and writing through columns s of Q
+            q, b = g_cand_t @ g_cand_t.T, g_cand_t @ m.entries
+            reduced = True
+            blocks = [(i, sl, q[:, sl], x_s, step, thr)
+                      for (i, _, _, x_s, step, thr), sl
+                      in zip(residual_blocks, rows)]
+            state = fresh_state(x)
         k = sweeps % _ANDERSON_K
         if k == 0:
             if sweeps:
                 accepted = extrapolate(primal)
                 if accepted is not None:
-                    x_e, r = accepted
+                    x_e, state = accepted
                     x[...] = x_e
                     active = x_blocks.any(axis=1).tolist()
             history[0] = x_flat
         history[k + 1] = x_flat
-        for i, g_s_t, g_s, x_s, step, thr in sweep_args:
-            x_bar = x_s + step * (g_s_t @ r)
+        for i, read, write, x_s, step, thr in blocks:
+            x_bar = x_s + step * (state[read] if reduced else read @ state)
             norm = np.sqrt((x_bar * x_bar).sum())
             if norm <= thr:
                 if active[i]:
-                    r += g_s @ x_s
+                    state += write @ x_s
                     x_s.fill(0.0)
                     active[i] = False
                 continue
             x_bar *= 1.0 - thr / norm
-            r += g_s @ (x_s - x_bar)
+            state += write @ (x_s - x_bar)
             x_s[...] = x_bar
             active[i] = True
         np.subtract(x_flat, history[k + 1], out=history[k + 1])
         sweeps += 1
         if sweeps % _RESYNC_EVERY == 0:
-            r = fresh_residual(x)
+            state = fresh_state(x)
 
     return _unpack(x, cand, n_loc, n_orient), trace
 

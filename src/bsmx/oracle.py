@@ -101,11 +101,12 @@ def solve_proximal_gradient(
         grad_point = z + step * (gt @ (mm - _forward_rows(gt, z)))
         x_new = prox_blocks(grad_point, thresholds, n_orient)
         r_new = mm - _forward_rows(gt, x_new)
-        return x_new, r_new, _primal(r_new, x_new, lam_vec, n_orient)
+        return (x_new, r_new,
+                _primal(float((r_new * r_new).sum()), x_new, lam_vec, n_orient))
 
     x = _pack(init, cand, n_orient, n_times)
     r = mm - _forward_rows(gt, x)
-    f_x = _primal(r, x, lam_vec, n_orient)
+    f_x = _primal(float((r * r).sum()), x, lam_vec, n_orient)
     if _certified(_gap(m, r, x, lam_vec, gt, lam_vec, n_orient)[0], gap_tol):
         return _unpack(x, cand, g.n_locations, n_orient)
 

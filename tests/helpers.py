@@ -5,7 +5,8 @@ fed by a thread.
 The oracles here deliberately avoid the library's own code paths: dense
 objectives are recomputed with raw numpy expressions, block constants by
 SVD, the prox is checked against its closed form and golden-section
-search, and debiasing against projected gradient descent.
+search, and debiasing against projected gradient descent and a
+coordinate descent on the sensor footprints.
 """
 
 import contextlib
@@ -146,6 +147,28 @@ def projected_gradient_debias(m, g, est, n_iter=20000, tol=1e-12):
         d = d_new
     resid = m.entries - sum(di * a for di, a in zip(d, footprints))
     return d, float((resid ** 2).sum())
+
+
+def footprint_scaling(m, g, est, tol=1e-10):
+    """Debiasing factors by cyclic projected coordinate descent on the
+    sensor footprints ``G_s X_s`` themselves, with the residual kept."""
+    footprints = [g.block(s) @ b for s, b in zip(est.active_set, est.blocks)]
+    sq_norms = [float((a * a).sum()) for a in footprints]
+    d = np.ones(len(footprints))
+    r = m.entries - sum(footprints)
+    for _ in range(10 * len(footprints)):
+        max_delta = 0.0
+        for i, a in enumerate(footprints):
+            if sq_norms[i] == 0.0:
+                continue
+            r_i = r + d[i] * a
+            d_new = max(float((r_i * a).sum()) / sq_norms[i], 1.0)
+            r = r_i - d_new * a
+            max_delta = max(max_delta, abs(d_new - d[i]))
+            d[i] = d_new
+        if max_delta < tol:
+            break
+    return d
 
 
 def orthonormal_design(rng, n_locations, n_orient, n_sensors=None):

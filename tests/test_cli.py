@@ -767,6 +767,21 @@ def test_benchmark_keeps_finished_methods_when_a_later_one_fails(
     assert float(rows[0]["final_gap"]) < 1e-6
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["max_bcd_iter"] == 60
+    # the manifest names the methods one by one, and where the run stopped
+    assert manifest["config"]["methods"] == ["bcd_as", "pgd_full"]
+    stopped = manifest["config"]["stopped"]
+    assert stopped["method"] == "pgd_full" and stopped["lambda_pct"] == 50
+    assert stopped["gap"] > 1e-6
+
+
+def test_benchmark_manifest_records_no_stop_on_success(tmp_path):
+    out = tmp_path / "bench"
+    assert main(["benchmark", "--seed", "0", "--n-sensors", "10",
+                 "--n-locations", "20", "--n-times", "4", "--lambda-pct", "50",
+                 "--methods", "bcd_as,bcd_full", "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["methods"] == ["bcd_as", "bcd_full"]
+    assert config["stopped"] is None
 
 
 @pytest.mark.parametrize("methods", ["bcd_as,pgd_sa", "pgd_sa,bcd_as"])

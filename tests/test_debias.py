@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from bsmx.model import (
     residual,
 )
 
-from helpers import make_instance, projected_gradient_debias
+from helpers import footprint_scaling, make_instance, projected_gradient_debias
 
 
 def test_single_source_exact_factor():
@@ -129,3 +131,39 @@ def test_estimate_scaling_returns_read_only_factors():
     assert not scaling.flags.writeable
     with pytest.raises(ValueError):
         scaling[0] = 2.0
+
+
+@pytest.mark.parametrize("n_orient", [1, 3])
+def test_gram_form_matches_the_footprint_form(n_orient):
+    rng = np.random.default_rng(9)
+    for _ in range(6):
+        m, g, truth = make_instance(rng, n_sensors=15, n_orient=n_orient,
+                                    n_times=40, n_active=4, noise=0.5)
+        est = BlockSparseEstimate.from_blocks(
+            [(s, float(rng.uniform(0.3, 1.0)) * b)
+             for s, b in zip(truth.active_set, truth.blocks)],
+            g.n_locations, g.n_orient, truth.n_times,
+        )
+        scaling = estimate_scaling(m, g, est)
+        assert np.any(scaling > 1.0)
+        np.testing.assert_allclose(scaling, footprint_scaling(m, g, est),
+                                   rtol=1e-12, atol=0)
+
+
+def test_scaling_builds_no_footprint():
+    # 306 sensors x 1000 samples with 6 active locations: the fit peaks
+    # below the size of one n_sensors x n_times footprint
+    rng = np.random.default_rng(10)
+    n, o, t = 306, 3, 1000
+    g = BlockDesign(rng.standard_normal((n, 20 * o)), 20, o)
+    est = BlockSparseEstimate.from_blocks(
+        [(s, rng.standard_normal((o, t))) for s in (1, 4, 8, 11, 15, 19)],
+        20, o, t)
+    m = Measurements(rng.standard_normal((n, t)))
+    tracemalloc.start()
+    try:
+        estimate_scaling(m, g, est)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * t

@@ -1083,21 +1083,30 @@ def test_entry_points_accept_the_valid_case(entry):
     _entry_points()[entry](*_case_inputs("valid"))
 
 
-def test_every_certificate_is_the_one_gap(monkeypatch):
+@pytest.mark.parametrize("instance", ["random", "desk"])
+def test_every_certificate_is_the_one_gap(monkeypatch, instance):
     # every trace row of the drivers, and every check of the reference
-    # solver, is a report of bsmx.mxne._gap
+    # solver, is a report of bsmx.mxne._gap; on the desk-size instance the
+    # restricted solves also run passes in Gram form
     reports = []
+    gram_reports = []
     one_gap = bsmx.mxne._gap
 
     def recording(*args):
         report, scores = one_gap(*args)
         reports.append((report.gap, report.primal))
+        if isinstance(args[1], tuple):
+            gram_reports.append(report)
         return report, scores
 
     monkeypatch.setattr(bsmx.mxne, "_gap", recording)
     monkeypatch.setattr(bsmx.oracle, "_gap", recording)
-    rng = np.random.default_rng(41)
-    m, g, _ = make_instance(rng, noise=0.2)
+    if instance == "random":
+        rng = np.random.default_rng(41)
+        m, g, _ = make_instance(rng, noise=0.2)
+    else:
+        scenario = generate_scenario(ScenarioSpec())
+        m, g = scenario.m_avg, scenario.design
     top = lambda_max(m, g)
     config = SolverConfig(gap_tol=1e-9)
     # lam_max: iteration 1 is empty, and reweight 2 has no candidates
@@ -1109,6 +1118,7 @@ def test_every_certificate_is_the_one_gap(monkeypatch):
             reports.clear()
             trace = solve()
             assert [(row.gap, row.primal) for row in trace.rows] == reports
+    assert len(gram_reports) >= (2 if instance == "desk" else 0)
 
     reports.clear()
     iterations = []
@@ -1116,3 +1126,80 @@ def test_every_certificate_is_the_one_gap(monkeypatch):
                             callback=lambda it, x, f: iterations.append(it))
     assert iterations
     assert len(reports) == 1 + len(iterations) // bsmx.oracle._GAP_CHECK_EVERY
+
+
+def _gram_instance(seed, n_orient, n_times):
+    """40 sensors and 30 locations, with as many candidates as the Gram
+    form takes: ``0.5 * min(40, n_times)`` columns."""
+    rng = np.random.default_rng(seed)
+    m, g, _ = make_instance(rng, n_sensors=40, n_locations=30,
+                            n_orient=n_orient, n_times=n_times, n_active=3,
+                            noise=0.3)
+    n_cand = int(bsmx.mxne._REDUCED_FRACTION * min(40, n_times)) // n_orient
+    cand = np.sort(rng.choice(g.n_locations, n_cand, replace=False))
+    return m, g, cand
+
+
+def _recorded_forms(monkeypatch):
+    """The forms of the ``_gap`` calls from now on: "gram" for Gram
+    statistics, "residual" for a residual."""
+    forms = []
+    one_gap = bsmx.mxne._gap
+
+    def recording(*args):
+        forms.append("gram" if isinstance(args[1], tuple) else "residual")
+        return one_gap(*args)
+
+    monkeypatch.setattr(bsmx.mxne, "_gap", recording)
+    return forms
+
+
+@pytest.mark.parametrize("n_orient", [1, 3])
+@pytest.mark.parametrize("n_times", [24, 60])
+def test_gram_form_agrees_with_the_residual_form(monkeypatch, n_orient,
+                                                 n_times):
+    m, g, cand = _gram_instance(n_times + n_orient, n_orient, n_times)
+    lam = np.linspace(0.15, 0.3, g.n_locations) * lambda_max(m, g)
+    # the smallest tolerance the Gram form takes
+    tol = (bsmx.mxne._REDUCED_ULPS * np.finfo(float).eps
+           * float((m.entries ** 2).sum()))
+    forms = _recorded_forms(monkeypatch)
+    est, trace = solve_bcd(m, g, None, lam, tol, candidates=cand)
+    # the entry pass, Gram-form passes, then the confirming residual pass
+    assert forms[0] == forms[-1] == "residual"
+    assert forms.count("gram") >= 2 and forms[-2] == "gram"
+    with monkeypatch.context() as patch:
+        patch.setattr(bsmx.mxne, "_REDUCED_FRACTION", 0.0)
+        forms.clear()
+        ref, _ = solve_bcd(m, g, None, lam, tol, candidates=cand)
+        assert set(forms) == {"residual"}
+    assert est.active_set == ref.active_set and est.n_active > 0
+    assert (np.abs(est.coef - ref.coef).max()
+            <= 1e-9 * np.abs(ref.coef).max())
+    # the last row is, bit for bit, the residual-form gap of the estimate
+    o = g.n_orient
+    gt = g.entries.T[g.column_indices(cand)]
+    x = bsmx.mxne._pack(est, cand, o, m.n_times)
+    r = m.entries - bsmx.mxne._forward_rows(gt, x)
+    report, _ = bsmx.mxne._gap(m, r, x, lam[cand], gt, lam[cand], o)
+    assert (trace.final.gap, trace.final.primal) == (report.gap,
+                                                     report.primal)
+
+
+def test_gram_form_waits_for_a_gap_tolerance_above_its_roundoff(
+        monkeypatch):
+    # at 1e8 times the data, eps * ||M||^2 dwarfs gap_tol: a call that
+    # qualifies by size takes the residual form and certifies
+    m, g, cand = _gram_instance(7, 1, 24)
+    lam = 0.2 * lambda_max(m, g)
+    forms = _recorded_forms(monkeypatch)
+    solve_bcd(m, g, None, lam, 1e-6, candidates=cand)
+    assert "gram" in forms
+    c = 1e8
+    forms.clear()
+    _, trace = solve_bcd(Measurements(c * m.entries), g, None, c * lam, 1e-6,
+                         candidates=cand)
+    assert set(forms) == {"residual"}
+    assert trace.final.gap < max(
+        1e-6, bsmx.mxne._ROUNDOFF_ULPS * np.finfo(float).eps
+        * trace.final.primal)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import hashlib
 import json
 import logging
 import os
@@ -72,6 +71,9 @@ SCENARIO_OPTIONS = ("n_sensors", "n_locations", "n_orient", "n_times",
 def _sha256(path) -> Optional[str]:
     """Hex digest of a regular file; None for any other (a pipe or FIFO),
     which the read consumed and which is not opened again."""
+    # imported here: loading OpenSSL's hash library delays every start-up
+    import hashlib
+
     if not stat.S_ISREG(os.stat(path).st_mode):
         return None
     digest = hashlib.sha256()

@@ -37,7 +37,8 @@ def _readonly_matrix(values, name: str, copy: bool = True) -> np.ndarray:
     if 0 in arr.shape:
         raise ValueError(f"{name} has shape {arr.shape}: it needs at least "
                          "one row and one column")
-    if not np.all(np.isfinite(arr)):
+    # min and max carry any NaN or infinity out, with no matrix-sized mask
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ValueError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr

@@ -15,10 +15,11 @@ restricted problems are solved in Gram form (:func:`solve_bcd`), and the
 certificate of such a solve is a gap on a fresh residual.
 
 The working-set driver's full check on a design of more than
-``_SCORE_CHUNK`` locations screens the scores ``||G_s^T R||_Fro`` in
+``_SCREEN_LOCATIONS`` locations screens the scores ``||G_s^T R||_Fro`` in
 float32 (:class:`_Screen`) and rescores in float64 every location whose
 error interval can matter, so its dual scale, gap and picks are bit for
-bit those of the float64 scores.
+bit those of the float64 scores. Every ``G^T R`` product is formed in
+scratch bounded by ``_SCRATCH_BYTES`` (:func:`_scores`).
 """
 
 from __future__ import annotations
@@ -74,12 +75,17 @@ _INNER_TOL_RATIO = 0.3
 _FIRST_BATCH = 10
 # solve_bcd extrapolates its iterates after every this many sweeps
 _ANDERSON_K = 5
-# locations per G^T R product when scoring: bounds the product's temporary
-_SCORE_CHUNK = 1024
+# bytes of scratch one scoring call holds: its G^T R products, and on the
+# float32 path the float32 rows of G^T and the float64 copies of products
+_SCRATCH_BYTES = 2 << 20
+# the driver's full checks screen in float32 on designs of more locations
+_SCREEN_LOCATIONS = 1024
 # a gap within this many ulps of the primal is its roundoff and certifies
 _ROUNDOFF_ULPS = 4
-# unit roundoff of float32 and float64, and the smallest normal float32
+# unit roundoff of float32 and float64, float64's machine epsilon, and the
+# smallest normal float32
 _U32, _U64 = 2.0 ** -24, 2.0 ** -53
+_EPS64 = 2.0 ** -52
 _TINY32 = float(np.finfo(np.float32).tiny)
 
 
@@ -186,17 +192,41 @@ def _primal(sq_residual: float, coef: np.ndarray, lam_vec: np.ndarray,
     return 0.5 * sq_residual + pen
 
 
-def _scores(gt: np.ndarray, r: np.ndarray, n_orient: int,
-            chunk: Optional[int] = None) -> np.ndarray:
+def _scores(gt: np.ndarray, r: np.ndarray, n_orient: int) -> np.ndarray:
     """Scores ``||G_s^T R||_Fro`` of the locations whose rows of ``G^T``
-    ``gt`` holds, one product per ``chunk`` (``_SCORE_CHUNK``) locations in
-    the dtype of ``r``; a float64 ``r`` copies nothing."""
-    rows = (chunk or _SCORE_CHUNK) * n_orient
-    norms = np.empty(gt.shape[0] // n_orient)
+    ``gt`` holds, with products in the dtype of ``r``.
+
+    The products are formed as many locations at a time as fit in
+    ``_SCRATCH_BYTES``, each into one buffer allocated per call. For a
+    float32 ``r``, the rows of ``gt`` are converted into a second buffer
+    and each product is copied to float64 in a third before its norms are
+    taken, all three within the budget; a float64 ``r`` converts nothing.
+    """
+    n, t = r.shape
+    o = n_orient
+    convert = r.dtype != gt.dtype
+    per_location = o * t * r.itemsize
+    if convert:
+        per_location += o * (n * r.itemsize + t * 8)
+    rows = max(1, _SCRATCH_BYTES // per_location) * o
+    q = np.empty((min(rows, gt.shape[0]), t), dtype=r.dtype)
+    if convert:
+        # laid out as the rows of gt are, so BLAS reads them alike
+        g_rows = np.empty_like(gt[:len(q)], dtype=r.dtype)
+        q64 = np.empty(q.shape)
+    norms = np.empty(gt.shape[0] // o)
     for start in range(0, gt.shape[0], rows):
-        q = gt[start:start + rows].astype(r.dtype, copy=False) @ r
-        norms[start // n_orient:(start + rows) // n_orient] = _location_norms(
-            q.astype(float, copy=False), n_orient)
+        stop = min(start + rows, gt.shape[0])
+        k = stop - start
+        block, out = gt[start:stop], q[:k]
+        if convert:
+            g_rows[:k] = block
+            block = g_rows[:k]
+        np.matmul(block, r, out=out)
+        if convert:
+            q64[:k] = out
+            out = q64[:k]
+        norms[start // o:stop // o] = _location_norms(out, o)
     return norms
 
 
@@ -210,9 +240,9 @@ def _screen_norms(g: BlockDesign, lips: np.ndarray) -> Optional[np.ndarray]:
     """Upper bounds ``sqrt(n_orient * L_s)`` on ``||G_s||_Fro`` from the
     block constants ``lips`` (``||G_s||_Fro^2`` sums at most ``n_orient``
     squared singular values, each at most ``L_s``), or None for a design
-    scored in float64 alone: one within one ``_SCORE_CHUNK``, or one
-    whose float32 products could overflow."""
-    if g.n_locations <= _SCORE_CHUNK:
+    scored in float64 alone: one of at most ``_SCREEN_LOCATIONS``
+    locations, or one whose float32 products could overflow."""
+    if g.n_locations <= _SCREEN_LOCATIONS:
         return None
     bound = np.sqrt(g.n_orient * lips)
     # every partial sum of G^T R, with R scaled to entries of at most 1,
@@ -225,8 +255,9 @@ class _Screen:
 
     ``approx[s]`` is within ``err[s]`` of the float64 score, and equal to
     it where ``err[s]`` is 0. :func:`_scores` converts the rows of ``G^T``
-    to float32 half a ``_SCORE_CHUNK`` at a time, and ``R`` is scaled by a
-    power of two, so no float32 copy of the design stays resident.
+    to float32 as many at a time as fit in ``_SCRATCH_BYTES``, into one
+    buffer, and ``R`` is scaled by a power of two, so no float32 copy of
+    the design stays resident.
 
     By Higham's dot-product bound (Accuracy and Stability of Numerical
     Algorithms, section 3.1), with ``n`` sensors and ``O * T`` entries
@@ -248,10 +279,7 @@ class _Screen:
         # a power of two: the scaled entries lie in [0.5, 1) in magnitude
         scale = 2.0 ** -np.frexp(r_max)[1]
         r32 = (r * scale).astype(np.float32)
-        # half a chunk per product: its float32 rows, float32 product and
-        # float64 copy then take no more memory than a float64 chunk
-        self.approx = _scores(gt, r32, n_orient,
-                              max(1, _SCORE_CHUNK // 2)) / scale
+        self.approx = _scores(gt, r32, n_orient) / scale
         delta = _gamma(n + 2, _U32) + _gamma(n + 2 * n_orient * t + 8, _U64)
         alpha = 8.0 * _TINY32 * n * np.sqrt(n_orient * t) / scale
         self.err = delta * bound * float(np.sqrt((r * r).sum())) \
@@ -266,7 +294,7 @@ class _Screen:
         out has a float64 key below ``floor``. Each location is rescored
         at most once, with its own float64 product: a BLAS may round a row
         differently with other rows beside it, and this product is the one
-        :func:`_scores` forms with one location per chunk.
+        :func:`_scores` forms when ``_SCRATCH_BYTES`` holds one location.
         """
         need = upper >= floor
         o = self.n_orient
@@ -345,7 +373,7 @@ def _certified(report: GapReport, gap_tol: float) -> bool:
     ``gap_tol`` or within ``_ROUNDOFF_ULPS`` ulps of the primal, the
     roundoff below which a gap cannot be resolved. Every stop test of
     every solver is this one."""
-    floor = _ROUNDOFF_ULPS * np.finfo(float).eps * abs(report.primal)
+    floor = _ROUNDOFF_ULPS * _EPS64 * abs(report.primal)
     return report.gap < max(gap_tol, floor)
 
 
@@ -509,7 +537,7 @@ def solve_bcd(
                  <= _REDUCED_FRACTION * min(g.n_sensors, n_times))
     if qualifies:
         sq_data = float((m.entries * m.entries).sum())
-        qualifies = _REDUCED_ULPS * np.finfo(float).eps * sq_data <= gap_tol
+        qualifies = _REDUCED_ULPS * _EPS64 * sq_data <= gap_tol
     # the state is R, or in Gram form H = B - Q X = G_C^T R with
     # Q = G_C^T G_C and B = G_C^T M, formed when the call enters that form
     reduced, blocks, q, b = False, residual_blocks, None, None
@@ -539,7 +567,9 @@ def solve_bcd(
             c = z / z.sum()
             # sum_k c_k x_k with x_k = base + diffs[0] + ... + diffs[k-1]
             weights = np.cumsum(c[::-1])[::-1]
-            x_e = (weights @ diffs + history[0]).reshape(x.shape)
+            x_e = weights @ diffs
+            x_e += history[0]
+            x_e = x_e.reshape(x.shape)
         x_e.reshape(n_cand, -1)[np.logical_not(active)] = 0.0
         if not np.isfinite(x_e).all():
             return None
@@ -590,9 +620,9 @@ def solve_bcd(
             if sweeps:
                 accepted = extrapolate(primal)
                 if accepted is not None:
-                    x_e, state = accepted
-                    x[...] = x_e
+                    x[...], state = accepted
                     active = x_blocks.any(axis=1).tolist()
+                del accepted
             history[0] = x_flat
         history[k + 1] = x_flat
         for i, read, write, x_s, step, thr in blocks:
@@ -613,6 +643,9 @@ def solve_bcd(
         if sweeps % _RESYNC_EVERY == 0:
             state = fresh_state(x)
 
+    # release the window, the per-block tables, the candidate columns and
+    # the state before the estimate's copies of x are made
+    del history, residual_blocks, blocks, g_cand_t, state, r, q, b
     return _unpack(x, cand, n_loc, n_orient), trace
 
 
@@ -671,7 +704,7 @@ def solve_active_set(
       ``_ROUNDOFF_ULPS`` (4) ulps of the primal, where roundoff hides any
       smaller gap at large data scales; a loose restricted solve never
       ends the loop.
-    - Scoring: on a design of more than ``_SCORE_CHUNK`` (1024)
+    - Scoring: on a design of more than ``_SCREEN_LOCATIONS`` (1024)
       locations, each full check scores the locations in float32 under
       a rigorous error bound and rescores in float64 those that can set
       the dual scale or enter the batch (:class:`_Screen`). The gap, the

@@ -1,6 +1,6 @@
 """Shared fixtures-in-spirit: instance generators, independent oracles, a
-one-block form of ``prox_blocks``, a probe of the irMxNE solves and a FIFO
-fed by a thread.
+one-block form of ``prox_blocks``, a probe of the irMxNE solves, a FIFO
+fed by a thread and a tracemalloc peak.
 
 The oracles here deliberately avoid the library's own code paths: dense
 objectives are recomputed with raw numpy expressions, block constants by
@@ -12,6 +12,7 @@ coordinate descent on the sensor footprints.
 import contextlib
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 
@@ -188,6 +189,16 @@ def estimate_from(blocks_by_loc, n_locations, n_orient, n_times):
 
 def measurements_like(arr):
     return Measurements(np.asarray(arr, dtype=float))
+
+
+def traced_peak(f, *args):
+    """Peak bytes that ``f(*args)`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @contextlib.contextmanager

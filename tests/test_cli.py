@@ -302,6 +302,19 @@ def test_runtime_does_not_import_scipy(tmp_path):
     assert result.stdout.strip() == "[]"
 
 
+def test_import_does_not_load_hashlib(tmp_path):
+    # OpenSSL's hash library is loaded only when a manifest hashes inputs
+    script = ("import sys, bsmx.cli; "
+              "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(bsmx.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                            env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_solve_free_orientation_with_transforms(tmp_path, capsys):
     rng = np.random.default_rng(2)
     m, g, _ = random_instance(rng, 15, 12, 3, 6, n_active=2, noise=0.1)

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -412,8 +413,6 @@ def test_reweight_state_json(tmp_path):
     _, state, _ = solve_irmxne(m, g, lam, SolverConfig())
     path = tmp_path / "state.json"
     state.to_json(path)
-    import json
-
     payload = json.loads(path.read_text())
     assert payload["iteration"] == state.iteration
     assert payload["converged"] == state.converged
@@ -449,3 +448,26 @@ def test_solvers_reject_invalid_lambda(lam):
         solve_active_set(m, g, None, lam, SolverConfig())
     with pytest.raises(ValueError, match="lam must be positive"):
         solve_irmxne(m, g, lam, SolverConfig())
+
+
+@pytest.mark.parametrize("case", ["no weights", "one vector", "several",
+                                  "no first tolerance"])
+def test_reweight_state_json_is_the_json_of_its_dict(tmp_path, case):
+    # the writer streams the weights and must keep the bytes of one dump
+    rng = np.random.default_rng(12)
+    if case == "several":
+        m, g, _ = make_instance(rng, noise=0.2)
+        _, state, _ = solve_irmxne(m, g, 0.4 * lambda_max(m, g),
+                                   SolverConfig())
+        assert len(state.weights) > 1
+    else:
+        state = irmxne.ReweightState(first_gap_tol=2.5e-3)
+        if case != "no weights":
+            state.weights.append(rng.standard_normal(7) * 1e-300)
+            state.objective_trace.append(0.1)
+            state.iteration = 1
+        if case == "no first tolerance":
+            state.first_gap_tol = None
+    path = tmp_path / "state.json"
+    state.to_json(path)
+    assert path.read_text() == json.dumps(state.to_dict()) + "\n"

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from bsmx.model import (
 )
 from bsmx.sim import ScenarioSpec, StabilityReport, generate_scenario
 
-from helpers import make_instance
+from helpers import make_instance, traced_peak
 
 
 def test_densify_empty_is_zero():
@@ -286,3 +287,24 @@ def test_value_types_compare_by_identity():
         assert not a == b
         assert a != b
         assert len({a, b, a}) == 2
+
+
+def test_finite_check_allocates_no_matrix_sized_array():
+    # 16 MB of float64: a boolean mask of it would take 2 MB
+    a = np.ones((1024, 2048))
+    assert traced_peak(BlockDesign._adopt, a, 2048, 1) < a.nbytes // 16
+    # the constructor's own copy, and nothing of its size besides
+    assert traced_peak(Measurements, a) < a.nbytes + a.nbytes // 16
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (3, 5), (-1, -1)])
+def test_non_finite_entries_are_rejected_without_warning(value, where):
+    for make in (lambda a: BlockDesign._adopt(a, 4, 2),
+                 lambda a: BlockDesign(a, 4, 2), Measurements):
+        a = np.ones((6, 8))
+        a[where] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="contains non-finite entries"):
+                make(a)

@@ -42,6 +42,7 @@ from helpers import (
     dense_primal,
     make_instance,
     orthonormal_design,
+    traced_peak,
 )
 
 
@@ -561,9 +562,12 @@ def _screened_instance(c):
 def test_float32_screen_matches_float64(monkeypatch, c):
     m, g, est = _screened_instance(c)
     r, gt, o = residual(m, g, est), g.entries.T, g.n_orient
-    # every float64 score lies in its float32 interval
-    for chunk in (8, 1):
-        monkeypatch.setattr(bsmx.mxne, "_SCORE_CHUNK", chunk)
+    # every float64 score lies in its float32 interval, screened at 40
+    # locations, with float64 products of 8 locations and then of one
+    monkeypatch.setattr(bsmx.mxne, "_SCREEN_LOCATIONS", 8)
+    for locations in (8, 1):
+        monkeypatch.setattr(bsmx.mxne, "_SCRATCH_BYTES",
+                            locations * o * m.n_times * 8)
         bound = bsmx.mxne._screen_norms(g, block_lipschitz_all(g))
         assert bound is not None
         exact = bsmx.mxne._scores(gt, r, o)
@@ -571,7 +575,7 @@ def test_float32_screen_matches_float64(monkeypatch, c):
         assert np.all(np.abs(screen.approx - exact) <= screen.err)
     assert exact[9] == exact[4] and exact[12] > exact[7]
 
-    # with one location per chunk, the float64 path forms each location's
+    # with one location per product, the float64 path forms each location's
     # product as the screen rescores it, so the screen's dual scale, gap
     # and picks must be the float64 ones bit for bit
     order = np.argsort(-exact, kind="stable")
@@ -632,7 +636,7 @@ def _block_frobenius(g):
 
 def test_screen_bound_covers_the_block_frobenius_norms(monkeypatch):
     # sqrt(O * L_s) >= ||G_s||_Fro, with equality for one orientation
-    monkeypatch.setattr(bsmx.mxne, "_SCORE_CHUNK", 1)
+    monkeypatch.setattr(bsmx.mxne, "_SCREEN_LOCATIONS", 1)
     rng = np.random.default_rng(47)
     _, g, _ = make_instance(rng, n_locations=30)
     _, g1, _ = make_instance(rng, n_locations=30, n_orient=1)
@@ -656,7 +660,7 @@ def test_screen_bound_covers_the_block_frobenius_norms(monkeypatch):
 def test_screened_solve_sets_no_design_attribute(monkeypatch):
     # the full checks screen in float32, and the design gains only the
     # block constants every solve reads
-    monkeypatch.setattr(bsmx.mxne, "_SCORE_CHUNK", 8)
+    monkeypatch.setattr(bsmx.mxne, "_SCREEN_LOCATIONS", 8)
     screens = []
     init = bsmx.mxne._Screen.__init__
 
@@ -667,10 +671,36 @@ def test_screened_solve_sets_no_design_attribute(monkeypatch):
     monkeypatch.setattr(bsmx.mxne._Screen, "__init__", counted)
     rng = np.random.default_rng(53)
     m, g, _ = make_instance(rng, n_locations=40)
+    # float64 products of 8 locations
+    monkeypatch.setattr(bsmx.mxne, "_SCRATCH_BYTES",
+                        8 * g.n_orient * m.n_times * 8)
     before = set(vars(g))
     solve_active_set(m, g, None, 0.3 * lambda_max(m, g), SolverConfig())
     assert screens
     assert set(vars(g)) - before == {"_lipschitz"}
+
+
+def test_scoring_scratch_is_bounded():
+    # 306 sensors x 1100 locations x 3 with T = 306: one float64 product of
+    # 1024 locations takes 7.5 MB, and the screened full check converts
+    # G^T to float32; both scorings stay within twice the scratch budget
+    rng = np.random.default_rng(67)
+    n, n_loc, o, t = 306, 1100, 3, 306
+    budget = bsmx.mxne._SCRATCH_BYTES
+    g = BlockDesign(rng.standard_normal((n, n_loc * o)), n_loc, o)
+    m = Measurements(rng.standard_normal((n, t)))
+    assert traced_peak(lambda_max, m, g) < 2 * budget
+
+    est = BlockSparseEstimate.from_blocks(
+        [(5, rng.standard_normal((o, t)))], n_loc, o, t)
+    lam_vec = np.full(n_loc, 0.5 * lambda_max(m, g))
+    bound = bsmx.mxne._screen_norms(g, block_lipschitz_all(g))
+    assert bound is not None
+    full_gap = bsmx.mxne._full_gap
+    assert traced_peak(full_gap, m, g, est, lam_vec, bound) < 2 * budget
+    # the bound holds with the screen's picks the float64 ones
+    assert full_gap(m, g, est, lam_vec, bound)[0] == full_gap(
+        m, g, est, lam_vec)[0]
 
 
 @pytest.mark.parametrize("n_times", [10, 30])

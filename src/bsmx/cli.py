@@ -292,23 +292,24 @@ def cmd_solve(args) -> int:
     else:
         est, state, trace = solve_irmxne(data, design, lam, config)
 
-    est_out = undo_depth_weights(est, depth_weights) if depth_weights else est
-    io.write_estimate(os.path.join(args.out, "estimate.json"), est_out)
-    trace.to_csv(os.path.join(args.out, "trace.csv"))
-    if state is not None:
-        state.to_json(os.path.join(args.out, "reweight_state.json"))
-
+    estimates = {"estimate.json": est}
     if args.debias:
         if est.n_active == 0:
             log.info("estimate is empty; skipping debiasing")
         else:
-            d = estimate_scaling(data, design, est)
-            debiased = apply_scaling(est, d)
-            if depth_weights:
-                debiased = undo_depth_weights(debiased, depth_weights)
-            io.write_estimate(
-                os.path.join(args.out, "estimate_debiased.json"), debiased
-            )
+            estimates["estimate_debiased.json"] = apply_scaling(
+                est, estimate_scaling(data, design, est))
+    # the outputs need neither matrix: none stays resident while they are
+    # written and the inputs hashed
+    del data, design
+
+    for name, out in estimates.items():
+        if depth_weights:
+            out = undo_depth_weights(out, depth_weights)
+        io.write_estimate(os.path.join(args.out, name), out)
+    trace.to_csv(os.path.join(args.out, "trace.csv"))
+    if state is not None:
+        state.to_json(os.path.join(args.out, "reweight_state.json"))
 
     log.info(
         "solved method=%s lam=%.6g active=%d gap=%.3e",

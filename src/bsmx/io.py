@@ -8,10 +8,9 @@ reads like a regular file; the manifest records ``null`` as the digest of
 an input that is not a regular file.
 
 :func:`_write_json` writes ``estimate.json``, ``estimate_debiased.json``,
-``stability.json`` and ``manifest.json``, and :func:`_write_csv` writes
-``trace.csv``, ``metrics.csv`` and ``timings.csv``; each caller builds its
-own payload or rows. ``reweight_state.json`` has the same format, written
-one weight vector at a time (:meth:`bsmx.irmxne.ReweightState.to_json`).
+``reweight_state.json``, ``stability.json`` and ``manifest.json``, and
+:func:`_write_csv` writes ``trace.csv``, ``metrics.csv`` and
+``timings.csv``; each caller builds its own payload or rows.
 """
 
 from __future__ import annotations

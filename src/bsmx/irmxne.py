@@ -21,13 +21,12 @@ surrogate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import mxne
+from . import io, mxne
 from .model import (
     BlockDesign,
     BlockSparseEstimate,
@@ -79,28 +78,19 @@ class ReweightState:
     converged: bool = False
     first_gap_tol: Optional[float] = None
 
-    def _header(self) -> dict:
-        """Every field of :meth:`to_dict` but the weights, in its order."""
+    def to_dict(self) -> dict:
         return {
             "iteration": self.iteration,
             "converged": self.converged,
             "first_gap_tol": self.first_gap_tol,
             "objective_trace": [float(v) for v in self.objective_trace],
+            "weights": [w.tolist() for w in self.weights],
         }
 
-    def to_dict(self) -> dict:
-        return {**self._header(),
-                "weights": [w.tolist() for w in self.weights]}
-
     def to_json(self, path):
-        """Write :meth:`to_dict` as :func:`bsmx.io._write_json` would, one
-        weight vector at a time: no list of every weight is built."""
-        with open(path, "w") as fh:
-            # the document up to the weight list's closing "]}"
-            fh.write(json.dumps({**self._header(), "weights": []})[:-2])
-            for i, w in enumerate(self.weights):
-                fh.write((", " if i else "") + json.dumps(w.tolist()))
-            fh.write("]}\n")
+        """Write :meth:`to_dict` to ``path`` with :func:`bsmx.io._write_json`,
+        the writer of every JSON output."""
+        io._write_json(path, self.to_dict())
 
 
 def _check_lam(lam):

@@ -11,8 +11,9 @@ through the duality gap.
 the weighted-penalty problem ``... + sum_s lam[s] * ||X_s||_Fro``.
 Every entry point checks its inputs with :func:`_check_inputs`; every
 certificate, full or restricted, is a report of :func:`_gap`. Small
-restricted problems are solved in Gram form (:func:`solve_bcd`), and the
-certificate of such a solve is a gap on a fresh residual.
+restricted problems are solved in Gram form from their first pass, a
+choice made from the inputs of the call alone (:func:`solve_bcd`), and
+the certificate of such a solve is a gap on a fresh residual.
 
 The working-set driver's full check on a design of more than
 ``_SCREEN_LOCATIONS`` locations screens the scores ``||G_s^T R||_Fro`` in
@@ -460,7 +461,7 @@ def solve_bcd(
     extrapolates if due, then sweeps; iteration stops when the gap
     certifies (:func:`_certified`). Every trace row is therefore the gap
     of an iterate a sweep produced, and a call adds one row more than it
-    runs sweeps, plus the confirming row below if it ran in Gram form.
+    runs sweeps, plus the confirming row below if it takes the Gram form.
     That gap is the full check's :func:`_gap` over the candidates' rows of
     ``G^T``, fresh residuals use :func:`bsmx.model._forward_rows`, and the
     inputs pass :func:`_check_inputs`, as in every entry point. With no
@@ -468,21 +469,21 @@ def solve_bcd(
 
     Small candidate sets ``C`` are solved in Gram form, where the problem
     sees the data only through ``Q = G_C^T G_C``, ``B = G_C^T M`` and
-    ``||M||_Fro^2``. A call takes it when its entry pass, always on a
-    fresh residual, does not certify, and when
+    ``||M||_Fro^2``. A call takes it from its entry pass on when
     ``|C| * n_orient <= _REDUCED_FRACTION * min(n_sensors, n_times)``
-    (0.5) and ``_REDUCED_ULPS * eps * ||M||_Fro^2 <= gap_tol`` (64): the
-    ``||R||_Fro^2`` of the Gram form carries roundoff of about
-    ``eps * ||M||_Fro^2``. Its state is then ``H = B - Q X = G_C^T R`` in
-    place of ``R``: a block step reads ``H_s`` and adds
-    ``Q[:, s] (X_s_old - X_s_new)`` to ``H``, and the resync and the
-    Anderson check rebuild ``H`` as ``B - Q X``. Its gaps are :func:`_gap`
-    of ``||R||^2 = ||M||^2 - <B, X> - <X, H>``, ``<R, M> = ||M||^2 -
-    <B, X>`` and the scores ``||H_s||_Fro``. When such a gap certifies, or
-    the sweep cap is reached, the pass is evaluated again on a fresh
-    residual of the same iterate; that row is the call's certificate (or
-    the gap its ``IterationLimitError`` carries), and if it does not
-    certify, the call goes on in residual form.
+    (0.5) and ``_REDUCED_ULPS * eps * ||M||_Fro^2 <= gap_tol`` (64), so
+    its inputs alone decide the form: the ``||R||_Fro^2`` of the Gram form
+    carries roundoff of about ``eps * ||M||_Fro^2``. Its state is then
+    ``H = B - Q X = G_C^T R`` in place of ``R``: a block step reads
+    ``H_s`` and adds ``Q[:, s] (X_s_old - X_s_new)`` to ``H``, and the
+    resync and the Anderson check rebuild ``H`` as ``B - Q X``. Its gaps
+    are :func:`_gap` of ``||R||^2 = ||M||^2 - <B, X> - <X, H>``,
+    ``<R, M> = ||M||^2 - <B, X>`` and the scores ``||H_s||_Fro``. When
+    such a gap certifies, or the sweep cap is reached, the pass is
+    evaluated again on a fresh residual of the same iterate; that row is
+    the call's certificate (or the gap its ``IterationLimitError``
+    carries), and if it does not certify, the call goes on in residual
+    form.
 
     Parameters
     ----------
@@ -533,14 +534,20 @@ def solve_bcd(
         for i, sl in enumerate(rows)
     ]
 
-    qualifies = (n_cand * n_orient
-                 <= _REDUCED_FRACTION * min(g.n_sensors, n_times))
-    if qualifies:
+    reduced = (n_cand * n_orient
+               <= _REDUCED_FRACTION * min(g.n_sensors, n_times))
+    if reduced:
         sq_data = float((m.entries * m.entries).sum())
-        qualifies = _REDUCED_ULPS * _EPS64 * sq_data <= gap_tol
+        reduced = _REDUCED_ULPS * _EPS64 * sq_data <= gap_tol
     # the state is R, or in Gram form H = B - Q X = G_C^T R with
-    # Q = G_C^T G_C and B = G_C^T M, formed when the call enters that form
-    reduced, blocks, q, b = False, residual_blocks, None, None
+    # Q = G_C^T G_C and B = G_C^T M: a block step reads rows s of H and
+    # writes through columns s of Q
+    blocks, q, b = residual_blocks, None, None
+    if reduced:
+        q, b = g_cand_t @ g_cand_t.T, g_cand_t @ m.entries
+        blocks = [(i, sl, q[:, sl], x_s, step, thr)
+                  for (i, _, _, x_s, step, thr), sl
+                  in zip(residual_blocks, rows)]
 
     def fresh_state(coef):
         if reduced:
@@ -606,15 +613,6 @@ def solve_bcd(
                 estimate=_unpack(x, cand, n_loc, n_orient),
                 gap=gap,
             )
-        if qualifies and not sweeps:
-            # the entry pass did not certify: sweep in Gram form, reading
-            # rows s of H and writing through columns s of Q
-            q, b = g_cand_t @ g_cand_t.T, g_cand_t @ m.entries
-            reduced = True
-            blocks = [(i, sl, q[:, sl], x_s, step, thr)
-                      for (i, _, _, x_s, step, thr), sl
-                      in zip(residual_blocks, rows)]
-            state = fresh_state(x)
         k = sweeps % _ANDERSON_K
         if k == 0:
             if sweeps:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 
 import numpy as np
 import pytest
@@ -506,6 +507,33 @@ def test_solve_writes_through_the_traced_writers(problem_files, tmp_path,
     assert rc == 0
     assert sorted(calls) == ["to_csv", "to_json", "write_estimate",
                              "write_estimate"]
+
+
+def test_solve_frees_the_problem_before_writing(problem_files, tmp_path,
+                                                monkeypatch):
+    # no matrix is resident while the outputs are written and the inputs
+    # hashed
+    refs, alive = [], []
+    read, write = cli._read_gain_and_data, io.write_estimate
+
+    def reading(*args):
+        design, data = read(*args)
+        refs.extend(weakref.ref(a) for a in (design.entries, data.entries))
+        return design, data
+
+    def writing(*args):
+        if not alive:
+            alive.extend(ref() is not None for ref in refs)
+        return write(*args)
+
+    monkeypatch.setattr(cli, "_read_gain_and_data", reading)
+    monkeypatch.setattr(io, "write_estimate", writing)
+    gain, data, _, _ = problem_files
+    rc = main(["solve", "--gain", str(gain), "--data", str(data),
+               "--lambda-pct", "40", "--method", "irmxne", "--depth", "0.8",
+               "--debias", "--out", str(tmp_path / "run")])
+    assert rc == 0
+    assert alive == [False, False]
 
 
 def test_solver_failure_exits_3(problem_files, tmp_path):

@@ -1195,8 +1195,8 @@ def test_gram_form_agrees_with_the_residual_form(monkeypatch, n_orient,
            * float((m.entries ** 2).sum()))
     forms = _recorded_forms(monkeypatch)
     est, trace = solve_bcd(m, g, None, lam, tol, candidates=cand)
-    # the entry pass, Gram-form passes, then the confirming residual pass
-    assert forms[0] == forms[-1] == "residual"
+    # Gram-form passes from the entry on, then the confirming residual pass
+    assert forms[0] == "gram" and forms[-1] == "residual"
     assert forms.count("gram") >= 2 and forms[-2] == "gram"
     with monkeypatch.context() as patch:
         patch.setattr(bsmx.mxne, "_REDUCED_FRACTION", 0.0)
@@ -1214,6 +1214,18 @@ def test_gram_form_agrees_with_the_residual_form(monkeypatch, n_orient,
     report, _ = bsmx.mxne._gap(m, r, x, lam[cand], gt, lam[cand], o)
     assert (trace.final.gap, trace.final.primal) == (report.gap,
                                                      report.primal)
+
+
+def test_gram_form_is_chosen_before_the_entry_pass(monkeypatch):
+    # a qualifying call enters in Gram form even when its warm start
+    # already certifies: the form follows from the inputs alone
+    m, g, cand = _gram_instance(5, 1, 24)
+    lam = 0.2 * lambda_max(m, g)
+    warm, _ = solve_bcd(m, g, None, lam, 1e-12, candidates=cand)
+    forms = _recorded_forms(monkeypatch)
+    est, trace = solve_bcd(m, g, warm, lam, 1e-6, candidates=cand)
+    assert forms == ["gram", "residual"] and len(trace) == 2
+    assert np.array_equal(est.coef, warm.coef)
 
 
 def test_gram_form_waits_for_a_gap_tolerance_above_its_roundoff(

@@ -154,6 +154,9 @@ def read_estimate(path) -> BlockSparseEstimate:
         )
         items = [(s, np.asarray(payload["blocks"][str(s)], dtype=float))
                  for s in active]
+        return BlockSparseEstimate.from_blocks(items, n_locations, n_orient,
+                                               n_times)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: estimate JSON missing field {exc}") from exc
-    return BlockSparseEstimate.from_blocks(items, n_locations, n_orient, n_times)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -16,7 +16,10 @@ plain convex mixed-norm estimate; otherwise only its support and weights
 are used, and it stops at the looser ``max(gap_tol, _FIRST_SOLVE_RTOL *
 0.5 * ||M||_Fro^2)``. Every later reweight is one block coordinate
 descent solve on the prior support, certified at ``gap_tol`` on its own
-surrogate.
+surrogate. The loop stops at a fixed point of the weights, once no
+positive weight moves by a relative ``reweight_tol`` from one reweight to
+the next: a test that depends on neither the data's scale nor its time
+basis.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .model import (
     _change_time_basis,
     _check_paired,
     _compress_time,
-    _pack,
     _scale_blocks,
     residual,
 )
@@ -122,24 +124,6 @@ def compute_weights(prev: BlockSparseEstimate) -> np.ndarray:
     return w
 
 
-def _max_abs_change(est: BlockSparseEstimate, prev: BlockSparseEstimate,
-                    vt: Optional[np.ndarray] = None) -> float:
-    """Entrywise max-abs of ``densify(est) - densify(prev)``, bitwise.
-
-    Only the union of the two supports is packed: every other entry is
-    zero in both, and the difference there is zero. For estimates in
-    compressed time (:func:`bsmx.model._compress_time`), ``vt`` maps the
-    difference back to full time first: the entrywise max-abs is not
-    invariant under that rotation.
-    """
-    union = np.union1d(est.active_set, prev.active_set)
-    o, t = est.n_orient, est.n_times
-    diff = _pack(est, union, o, t) - _pack(prev, union, o, t)
-    if vt is not None:
-        diff = diff @ vt
-    return float(np.abs(diff).max(initial=0.0))
-
-
 def _solve_surrogate(
     m: Measurements,
     g: BlockDesign,
@@ -190,9 +174,12 @@ def solve_irmxne(
     them in the previous support, and solves the surrogate with
     per-location penalty ``lam / w_s`` on the unscaled design as one
     :func:`bsmx.mxne.solve_bcd` call, warm-started from the previous
-    solution. The loop stops when the estimates of consecutive iterations
-    differ by less than ``config.reweight_tol`` in entrywise max-abs, or
-    after ``config.max_reweight`` iterations (returned with
+    solution. From iteration 2 on, the loop stops when the weights
+    ``w_next`` computed from its estimate satisfy
+    ``max_s |w_next[s] / w[s] - 1| < config.reweight_tol`` over the
+    locations with ``w[s] > 0``; a block that drops out changes by 1, so
+    no iteration that changed the support stops the loop. Otherwise it
+    stops after ``config.max_reweight`` iterations (returned with
     ``converged=False``).
 
     The non-convex objective trace is non-increasing up to roundoff: each
@@ -202,8 +189,8 @@ def solve_irmxne(
     Long epochs are compressed automatically: when ``n_times >
     n_sensors``, every reweight is solved exactly on ``U S`` of one thin
     SVD ``M = U S V^T``. Weights, objectives and gaps do not change under
-    ``V``; the stopping test and the returned estimate (also the one an
-    ``IterationLimitError`` carries) are in full time.
+    ``V``, so neither does the stopping test; the returned estimate (also
+    the one an ``IterationLimitError`` carries) is in full time.
 
     Raises
     ------
@@ -222,24 +209,25 @@ def solve_irmxne(
     trace = ConvergenceTrace()
     state = ReweightState(first_gap_tol=first_tol)
 
-    prev = None
+    weights = np.ones(g.n_locations)
     try:
         for k in range(1, config.max_reweight + 1):
-            if prev is None:
-                state.weights.append(np.ones(g.n_locations))
+            state.weights.append(weights)
+            if k == 1:
                 est, _ = solve_active_set(m, g, None, lam,
                                           replace(config, gap_tol=first_tol),
                                           trace=trace)
             else:
-                weights = compute_weights(prev)
-                state.weights.append(weights)
-                est = _solve_surrogate(m, g, weights, prev, lam, config,
+                est = _solve_surrogate(m, g, weights, est, lam, config,
                                        trace)
             state.iteration = k
             state.objective_trace.append(nonconvex_objective(m, g, est, lam))
-            state.converged = (prev is not None and _max_abs_change(
-                est, prev, vt) < config.reweight_tol)
-            prev = est
+            next_weights = compute_weights(est)
+            on = weights > 0
+            change = float(np.abs(next_weights[on] / weights[on] - 1.0)
+                           .max(initial=0.0))
+            state.converged = k > 1 and change < config.reweight_tol
+            weights = next_weights
             if state.converged:
                 break
     except IterationLimitError as exc:
@@ -247,4 +235,4 @@ def solve_irmxne(
         exc.estimate = _change_time_basis(exc.estimate, vt)
         raise
 
-    return _change_time_basis(prev, vt), state, trace
+    return _change_time_basis(est, vt), state, trace

@@ -268,8 +268,9 @@ class SolverConfig:
         iterations stops at the looser
         ``max(gap_tol, 1e-6 * 0.5 * ||M||_Fro^2)``.
     reweight_tol : float
-        Entrywise max-abs change between consecutive reweighted estimates
-        below which the outer loop stops.
+        Relative weight change below which the irMxNE loop stops: it
+        stops once every positive weight ``w_s = 2 sqrt(||X_s||_Fro)``
+        moves by less than this fraction of itself between reweights.
     max_reweight : int
         Cap on reweighting iterations. Exhausting it is not an error; the
         last iterate is returned with ``converged=False``.

@@ -739,6 +739,25 @@ def test_check_depth_rejects_estimate_over_other_locations(tmp_path, caplog):
     assert "covers 12 locations, design has 8" in caplog.text
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("blocks", {"1": [[1.0, 2.0, 3.0]]}, "block 1 has shape (1, 3)"),
+    ("n_locations", 1, "active_set indices out of range"),
+    ("n_orient", "one", "invalid literal for int()"),
+], ids=["block-shape", "index-range", "n-orient"])
+def test_check_names_the_estimate_file_it_rejects(
+        problem_files, tmp_path, caplog, field, value, message):
+    gain, data, _, _ = problem_files
+    payload = {"active_set": [1], "n_locations": 30, "n_orient": 1,
+               "n_times": 8, "blocks": {"1": [[1.0] * 8]}, field: value}
+    path = tmp_path / "estimate.json"
+    path.write_text(json.dumps(payload))
+    rc = main(["check", "--gain", str(gain), "--data", str(data),
+               "--estimate", str(path), "--lambda-pct", "40"])
+    assert rc == 2
+    assert f"{path}: " in caplog.text
+    assert message in caplog.text
+
+
 def _record_inner_caps(monkeypatch):
     """Record the ``max_bcd_iter`` of every ``solve_active_set`` call and
     the ``max_iter`` of every inner solve the benchmark methods run."""

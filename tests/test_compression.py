@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 from bsmx import irmxne, mxne
-from bsmx.irmxne import _max_abs_change, solve_irmxne
+from bsmx.irmxne import solve_irmxne
 from bsmx.model import (
     BlockDesign,
     BlockSparseEstimate,
     Measurements,
     SolverConfig,
-    _change_time_basis,
     _compress_time,
     densify,
 )
@@ -130,16 +129,6 @@ def test_irmxne_matches_uncompressed_run(n_orient, monkeypatch):
     assert np.abs(est.coef - ref.coef).max() <= 1e-6 * scale
     assert np.allclose(state.objective_trace, ref_state.objective_trace,
                        rtol=1e-9, atol=0)
-
-
-def test_max_abs_change_is_taken_in_full_time():
-    m, g, lam = _long_problem(7, 3, "scalar")
-    short, vt = _compress_time(m)
-    a, _ = solve_active_set(short, g, None, lam, SolverConfig())
-    b, _ = solve_active_set(short, g, None, 1.3 * lam, SolverConfig())
-    full = np.abs(densify(_change_time_basis(a, vt))
-                  - densify(_change_time_basis(b, vt))).max()
-    assert _max_abs_change(a, b, vt) == pytest.approx(full, rel=1e-12)
 
 
 def test_active_set_iteration_limit_carries_full_time_estimate():

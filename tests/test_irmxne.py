@@ -6,7 +6,6 @@ import pytest
 
 from bsmx import irmxne, mxne
 from bsmx.irmxne import (
-    _max_abs_change,
     _solve_surrogate,
     compute_weights,
     nonconvex_objective,
@@ -31,28 +30,6 @@ from bsmx.mxne import (
 from bsmx.sim import ScenarioSpec, generate_scenario
 
 from helpers import ReweightProbe, dense_sqrt_objective, make_instance
-
-
-def test_max_abs_change_matches_dense_difference():
-    rng = np.random.default_rng(40)
-    n_loc, n_orient, n_times = 12, 3, 5
-
-    def est(locs):
-        return BlockSparseEstimate.from_blocks(
-            [(s, rng.standard_normal((n_orient, n_times))) for s in locs],
-            n_loc, n_orient, n_times,
-        )
-
-    pairs = {
-        "disjoint": (est([1, 4]), est([0, 7, 11])),
-        "overlapping": (est([2, 3, 9]), est([3, 5, 9])),
-        "one empty": (est([6]), est([])),
-        "both empty": (est([]), est([])),
-    }
-    for name, (a, b) in pairs.items():
-        for x, y in ((a, b), (b, a)):
-            dense = float(np.abs(densify(x) - densify(y)).max())
-            assert _max_abs_change(x, y) == dense, name
 
 
 def test_nonconvex_objective_zero_estimate():
@@ -297,6 +274,27 @@ def test_irmxne_sparser_than_mxne_on_correlated_scenario():
     est_ir, _, _ = solve_irmxne(m, g, lam, SolverConfig())
     assert set(est_ir.active_set) <= set(est_mx.active_set)
     assert est_ir.n_active <= est_mx.n_active
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+def test_irmxne_stops_at_the_first_settled_weights(scale):
+    scenario = generate_scenario(ScenarioSpec(rng_seed=3))
+    m = Measurements(scale * scenario.m_avg.entries)
+    g = scenario.design
+    config = SolverConfig()
+    est, state, _ = solve_irmxne(m, g, 0.3 * lambda_max(m, g), config)
+    assert state.converged
+
+    def change(w, w_next):
+        on = w > 0
+        return np.abs(w_next[on] / w[on] - 1.0).max(initial=0.0)
+
+    # every earlier reweight still moved some weight by reweight_tol
+    for k in range(2, state.iteration):
+        assert change(state.weights[k - 1], state.weights[k]) \
+            >= config.reweight_tol, k
+    assert change(state.weights[-1], compute_weights(est)) \
+        < config.reweight_tol
 
 
 def test_weighted_reformulation_equivalence():
